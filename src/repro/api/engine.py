@@ -18,7 +18,7 @@ both transports; :func:`engine_for` picks the right engine for a transport.
 The scaling layer adds five more implementations behind the same protocol,
 selected the same way: :class:`repro.sharding.engine.ShardedEngine` (K
 in-process shard workers), :class:`repro.sharding.multiproc.MultiprocEngine`
-(one worker OS process per shard, respawned per run),
+(one worker OS process per shard, a pool spawned and closed each run),
 :class:`repro.sharding.pool.PooledEngine` (the same processes kept warm
 across runs), and the cross-machine pair
 :class:`repro.sharding.sockets.SocketEngine` /

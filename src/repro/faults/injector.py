@@ -113,13 +113,13 @@ class FaultInjector:
         """The frame-fault subset, rebased to the receiving worker generation.
 
         A plan's ``run_index`` counts the session's engine runs, but workers
-        count ``start`` commands since their own spawn — and worlds ship at
-        spawn time, which the engines always do *after* :meth:`start_run`.
-        Subtracting the current run index makes the two clocks agree for
-        every generation: a one-shot engine re-ships each run (base = that
-        run), a warm pool ships once (base = the run that spawned it) and
-        counts forward, and a post-crash respawn drops the specs its
-        predecessor already lived through.
+        count ``start`` commands since their pool was spawned — and worlds
+        ship at spawn time, which the engines always do *after*
+        :meth:`start_run`.  Subtracting the current run index makes the two
+        clocks agree for every pool: a one-shot engine spawns a pool per run
+        (base = that run), a warm pool ships once (base = the run that
+        spawned it) and counts forward, and a post-crash respawn drops the
+        specs its predecessor already lived through.
         """
         plan = self.plan.worker_plan()
         if plan is None:

@@ -19,13 +19,16 @@ layer that pushes the same protocols toward thousands.  Four pieces:
   boundary with one OS *process* per shard (``multiprocessing`` spawn,
   queue-backed mailboxes, a cross-process quiescence barrier), selected via
   ``ScenarioSpec(transport="multiproc", shards=K)`` — the first engine with
-  real multi-core wall-clock speedups on the 500+-node sweeps,
+  real multi-core wall-clock speedups on the 500+-node sweeps; each run
+  spawns a :class:`~repro.sharding.pool.WorkerPool` and closes it after,
 * :class:`~repro.sharding.pool.WorkerPool` /
   :class:`~repro.sharding.pool.PooledEngine` — the *persistent* variant of
   the multiproc engine (``transport="pooled"``, or ``"multiproc"`` with
   ``pool=True``): workers spawn once, worlds ship once, and successive runs
   re-ship only deltas (new facts, ``addLink``/``deleteLink``), amortising
-  the 1-2 s spawn/ship overhead across repeat-run workloads,
+  the 1-2 s spawn/ship overhead across repeat-run workloads.  Every
+  process-backed engine, one-shot or warm, runs the same shard-worker loop
+  (:func:`~repro.sharding.pool._pool_worker_main`),
 * :class:`~repro.sharding.sockets.ShardHost` /
   :class:`~repro.sharding.sockets.SocketPool` /
   :class:`~repro.sharding.sockets.SocketEngine` — the *cross-machine*

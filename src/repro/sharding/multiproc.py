@@ -20,11 +20,14 @@ with its own interpreter, GIL and event queue:
   receiving shard's clock on delivery, mirroring the in-process semantics.
 * :class:`MultiprocEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the partition,
-  ships each worker a serializable *world* (schemas, rules, its shard's data
-  slice), drives the phase, detects distributed quiescence, then merges the
-  workers' final databases, protocol state and statistics back into the
-  coordinator's system so ``Session.run`` / parity checks / experiments read
-  one consistent picture.
+  spawns a :class:`~repro.sharding.pool.WorkerPool` for the run (shipping
+  each worker a serializable *world*: schemas, rules, its shard's data
+  slice), drives the phase to distributed quiescence, closes the pool, then
+  merges the workers' final databases, protocol state and statistics back
+  into the coordinator's system so ``Session.run`` / parity checks /
+  experiments read one consistent picture.  The shard-worker loop itself is
+  :func:`repro.sharding.pool._pool_worker_main`, the only one every
+  process-backed engine runs.
 
 Clock caveat: each worker drains its local queue to exhaustion between
 stimuli, so per-shard virtual clocks run further ahead than the in-process
@@ -44,10 +47,8 @@ in flight (a straggler would leave some shard's ``sent`` above its
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import queue as queue_module
 import time
-import traceback
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -57,7 +58,7 @@ from repro.faults.injector import WorkerFrameInjector, injector_of
 from repro.network.latency import LatencyModel
 from repro.network.message import Message
 from repro.network.transport import BaseTransport
-from repro.obs import NULL_TRACER, Tracer, get_logger, tracer_of
+from repro.obs import get_logger, tracer_of
 from repro.sharding.planner import ShardPlan, ShardPlanner
 from repro.stats.collector import (
     ShardTrafficStats,
@@ -68,6 +69,7 @@ from repro.stats.collector import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.system import P2PSystem
     from repro.faults.plan import FaultPlan
+    from repro.sharding.pool import PoolLike
 
 #: Seconds the coordinator waits for a worker to come up / answer before the
 #: run is declared stuck.  Generous: a spawn re-imports the whole package.
@@ -345,125 +347,21 @@ def _worker_payload(
     return payload
 
 
-def _worker_main(world: ShardWorld, inboxes: list, results) -> None:
-    """Entry point of one shard worker process.
-
-    Control and data share the worker's single inbox queue, so the loop is
-    fully event-driven: ``start`` kicks the phase off at the owned origins,
-    ``msg`` is a cross-shard delivery, ``ping`` answers a quiescence round
-    (with an ``idle`` flag saying whether the local queue was empty), and
-    ``stop`` finalizes and ships the shard's state home.  Local deliveries
-    run in bounded batches between inbox polls, so pings are answered
-    promptly however long the local chain is — the coordinator can always
-    tell a busy shard from a stalled one.
-    """
-    inbox = inboxes[world.shard_index]
-    phase = "update"
-    try:
-        transport = _WorkerTransport(
-            world.shard_index,
-            world.shard_of,
-            inboxes,
-            world.latency,
-            world.max_messages,
-            clock_start=world.clock_start,
-        )
-        tracer = (
-            Tracer(trace_id=world.trace_id, process=f"shard-{world.shard_index}")
-            if world.trace_id is not None
-            else NULL_TRACER
-        )
-        transport.tracer = tracer
-        if world.fault_plan is not None:
-            transport.fault_injector = WorkerFrameInjector(
-                world.fault_plan,
-                world.shard_index,
-                transport.stats.registry,
-            )
-        with tracer.span("build", shard=world.shard_index):
-            system = _build_worker_system(world, transport)
-        if tracer.enabled:
-            for node in system.nodes.values():
-                node.database.profile = tracer.chase
-        results.put(("ready", world.shard_index))
-        # One "chase" span covers each busy period: opened when local work
-        # appears, closed when the queue drains and the worker blocks again.
-        chase_span = None
-        delivered_mark = 0
-        while True:
-            if transport.has_local_work:
-                if chase_span is None and tracer.enabled:
-                    chase_span = tracer.start_span("chase", shard=world.shard_index)
-                    delivered_mark = transport.delivered
-                try:
-                    item = inbox.get_nowait()
-                except queue_module.Empty:
-                    transport.drain(_DRAIN_BATCH)
-                    continue
-            else:
-                if chase_span is not None:
-                    tracer.end_span(
-                        chase_span, delivered=transport.delivered - delivered_mark
-                    )
-                    chase_span = None
-                item = inbox.get()
-            kind = item[0]
-            if kind == "start":
-                phase = item[1]
-                if transport.fault_injector is not None:
-                    transport.fault_injector.start_run()
-                _start_worker_phase(system, world, phase, item[2])
-            elif kind == "msg":
-                transport.receive_cross(item[1], item[2])
-            elif kind == "ping":
-                # Pings are lockstep (the coordinator sends the next round
-                # only after every shard answered), so the reply does not
-                # need to echo the generation in item[1].
-                results.put(("status", world.shard_index, transport.status()))
-            elif kind == "stop":
-                results.put(
-                    (
-                        "done",
-                        world.shard_index,
-                        _worker_payload(system, world, transport, phase),
-                    )
-                )
-                return
-            else:  # pragma: no cover - coordinator never sends other kinds
-                raise NetworkError(f"unknown control message {kind!r}")
-    except BaseException:  # noqa: BLE001 - shipped to the coordinator
-        results.put(("error", world.shard_index, traceback.format_exc()))
-
-
 # ------------------------------------------------- coordinator-side plumbing
 #
-# The await/quiescence helpers are module-level so both worker-process
-# drivers — the per-run MultiprocEngine here and the persistent WorkerPool in
-# :mod:`repro.sharding.pool` — share one implementation of the cumulative-
+# The await/quiescence helpers are module-level so both pool drivers — the
+# mp-queue WorkerPool in :mod:`repro.sharding.pool` and the TCP SocketPool in
+# :mod:`repro.sharding.sockets` — share one implementation of the cumulative-
 # counter double check and of crashed-worker detection.
-
-
-class _WorkerSet:
-    """The minimal pool surface a fault injector fires kill faults against."""
-
-    def __init__(self, workers):
-        self._workers = workers
-        self.shard_count = len(workers)
-
-    def kill_worker(self, shard: int) -> None:
-        worker = self._workers[shard]
-        if worker.is_alive():
-            worker.terminate()
 
 
 def _check_workers(workers, collected) -> None:
     """Raise when a worker died before delivering an expected reply.
 
-    A worker that already answered may exit legitimately (the ``stop`` path);
-    only a dead process whose reply is still outstanding is a crash.
+    ``workers`` holds one liveness object per shard (``is_alive()`` and
+    ``exitcode``); only a dead worker whose reply is still outstanding is a
+    crash.
     """
-    if not workers:
-        return
     for shard, worker in enumerate(workers):
         if shard not in collected and not worker.is_alive():
             raise NetworkError(
@@ -472,7 +370,7 @@ def _check_workers(workers, collected) -> None:
             )
 
 
-def _await_replies(results, kind: str, count: int, workers=None) -> dict[int, object]:
+def _await_replies(results, kind: str, count: int, workers) -> dict[int, object]:
     """Collect one ``kind`` reply per shard (raising on errors and crashes)."""
     collected: dict[int, object] = {}
     deadline = time.monotonic() + _WORKER_TIMEOUT
@@ -498,7 +396,7 @@ def _await_replies(results, kind: str, count: int, workers=None) -> dict[int, ob
 
 
 def _quiescence_rounds(
-    results, inboxes, shard_count: int, max_messages: int, workers=None
+    results, inboxes, shard_count: int, max_messages: int, workers
 ) -> int:
     """Ping workers until two identical, balanced, all-idle rounds agree.
 
@@ -661,18 +559,35 @@ class MultiprocTransport(BaseTransport):
 class MultiprocEngine:
     """Engine for the multi-process sharded transport.
 
-    Each :meth:`run` spawns one worker process per shard, ships the worlds,
-    drives the phase to distributed quiescence and merges the results back —
-    workers live for exactly one run.  For repeat-run workloads use the
-    persistent variant, :class:`repro.sharding.pool.PooledEngine`, which
-    keeps the workers warm and re-ships only deltas (see
-    ``docs/engines.md`` for the measured crossover points).
+    Each :meth:`run` spawns a :class:`~repro.sharding.pool.WorkerPool` (one
+    worker process per shard, worlds shipped at spawn), drives the phase to
+    distributed quiescence, collects and closes the pool, then merges the
+    results back — the pool lives for exactly one run.  For repeat-run
+    workloads use the persistent variant,
+    :class:`repro.sharding.pool.PooledEngine`, which keeps the pool warm and
+    re-ships only deltas (see ``docs/engines.md`` for the measured crossover
+    points).
     """
 
     name = "multiproc"
 
     def __init__(self, planner: ShardPlanner | None = None):
         self.planner = planner
+
+    def close(self) -> None:
+        """Release engine-held resources (none here; pools die with each run)."""
+
+    def __enter__(self) -> "MultiprocEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
+        try:
+            self.close()
+        except Exception:
+            pass
 
     def _check(self, system: P2PSystem) -> MultiprocTransport:
         transport = system.transport
@@ -758,58 +673,25 @@ class MultiprocEngine:
     # ------------------------------------------------------------ internals
 
     def _drive_workers(
-        self, system, plan: ShardPlan, phase: str, origins: list[NodeId]
+        self, system, plan: ShardPlan, phase: str, origins: Iterable[NodeId]
     ) -> list[dict]:
-        """Spawn one worker per shard, run the phase, return their payloads."""
+        """Spawn a pool for this one run, drive the phase, close the pool."""
         tracer = tracer_of(system)
-        ship_span = tracer.start_span("ship", shards=plan.shard_count)
-        worlds = _worlds_from_system(system, plan)
-        context = multiprocessing.get_context("spawn")
-        inboxes = [context.Queue() for _ in range(plan.shard_count)]
-        results = context.Queue()
-        workers = [
-            context.Process(
-                target=_worker_main, args=(world, inboxes, results), daemon=True
-            )
-            for world in worlds
-        ]
-        for worker in workers:
-            worker.start()
         injector = injector_of(system)
-        targets = _WorkerSet(workers)
+        with tracer.span("ship", shards=plan.shard_count):
+            pool = self._spawn_pool(system, self._check(system))
         try:
-            _await_replies(results, "ready", plan.shard_count, workers)
-            injector.fire("ship", targets)
-            tracer.end_span(ship_span)
-            for inbox in inboxes:
-                inbox.put(("start", phase, tuple(origins)))
-            injector.fire("chase", targets)
-            with tracer.span("quiescence") as quiescence_span:
-                rounds = _quiescence_rounds(
-                    results,
-                    inboxes,
-                    plan.shard_count,
-                    system.transport.max_messages,
-                    workers,
-                )
-                quiescence_span.set(rounds=rounds)
-            injector.fire("quiescence", targets)
-            with tracer.span("collect"):
-                for inbox in inboxes:
-                    inbox.put(("stop",))
-                done = _await_replies(results, "done", plan.shard_count, workers)
-            return [payload for _shard, payload in sorted(done.items())]
-        except BaseException:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-            raise
+            pool.injector = injector
+            injector.fire("ship", pool)
+            return pool.run_phase(phase, origins, tracer=tracer)
         finally:
-            for worker in workers:
-                worker.join(timeout=5.0)
-            for queue in (*inboxes, results):
-                queue.close()
-                queue.cancel_join_thread()
+            pool.close()
+
+    def _spawn_pool(self, system: P2PSystem, transport) -> PoolLike:
+        """Bring a cold pool up over the live system's current state."""
+        from repro.sharding.pool import WorkerPool  # pool imports this module
+
+        return WorkerPool.spawn(system, transport.plan)
 
     def _merge(
         self, system, transport: MultiprocTransport, payloads: list[dict], wall: float

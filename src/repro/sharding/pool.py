@@ -1,8 +1,9 @@
 """Persistent multi-process worker pools: spawn once, run many times.
 
-:class:`~repro.sharding.multiproc.MultiprocEngine` pays a fixed price on
-*every* run: one interpreter spawn per shard plus a pickle of the full
-schema/rule world (~1-2 s before the first message moves).  That is fine for
+:class:`~repro.sharding.multiproc.MultiprocEngine` spawns a pool for each
+run and closes it afterwards, so it pays a fixed price on *every* run: one
+interpreter spawn per shard plus a pickle of the full schema/rule world
+(~1-2 s before the first message moves).  That is fine for
 one-shot sweeps and fatal for the workloads the paper motivates — the same
 rule world updated again and again as peers' data shifts.  This module keeps
 the engine's exact execution model (the
@@ -55,7 +56,7 @@ import multiprocessing
 import queue as queue_module
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, cast
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, cast
 
 from repro.coordination.changeset import (
     ChangeAccumulator,
@@ -86,7 +87,6 @@ from repro.sharding.planner import ShardPlan, ShardPlanner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.system import P2PSystem
-    from repro.sharding.multiproc import MultiprocTransport
 
 #: Facts as the pool mirrors them: per node, per relation, a row set.
 FactsMirror = dict[NodeId, dict[str, frozenset]]
@@ -349,16 +349,22 @@ def _reset_run_counters(transport: _WorkerTransport) -> None:
 
 
 def _pool_worker_main(world: ShardWorld, inboxes: list, results) -> None:
-    """Entry point of one persistent shard worker.
+    """Entry point of every shard worker, one-shot or warm.
 
-    The protocol extends the one-shot worker loop of
-    :func:`repro.sharding.multiproc._worker_main` with two commands that make
-    the process reusable: ``sync`` applies a coordinator delta between runs
-    (rule changes first, then data), and ``collect`` ships the shard's
-    current state home *without* exiting, resetting the per-run counters so
-    the next run starts from a clean ledger.  ``stop`` ends the process.
-    Inbox commands are FIFO per worker, so a ``sync`` queued before a
-    ``start`` is always applied before the phase begins.
+    Control and data share the worker's single inbox queue, so the loop is
+    fully event-driven: ``start`` kicks the phase off at the owned origins,
+    ``msg`` is a cross-shard delivery, ``ping`` answers a quiescence round
+    (with an ``idle`` flag saying whether the local queue was empty),
+    ``sync`` applies a coordinator delta between runs (rule changes first,
+    then data), ``collect`` ships the shard's current state home *without*
+    exiting and resets the per-run counters so the next run starts from a
+    clean ledger, and ``stop`` ends the process.  Local deliveries run in
+    bounded batches between inbox polls, so pings are answered promptly
+    however long the local chain is — the coordinator can always tell a
+    busy shard from a stalled one.  Inbox commands are FIFO per worker, so a
+    ``sync`` queued before a ``start`` is always applied before the phase
+    begins.  A one-shot engine simply sends ``start``, then ``collect`` and
+    ``stop`` once; the warm engines keep the worker for many runs.
 
     Every ``sync`` delta is also folded into a worker-side
     :class:`~repro.coordination.changeset.ChangeAccumulator`.  When a
@@ -400,6 +406,8 @@ def _pool_worker_main(world: ShardWorld, inboxes: list, results) -> None:
             for node in system.nodes.values():
                 node.database.profile = tracer.chase
         results.put(("ready", world.shard_index))
+        # One "chase" span covers each busy period: opened when local work
+        # appears, closed when the queue drains and the worker blocks again.
         chase_span = None
         delivered_mark = 0
         while True:
@@ -439,6 +447,9 @@ def _pool_worker_main(world: ShardWorld, inboxes: list, results) -> None:
             elif kind == "msg":
                 transport.receive_cross(item[1], item[2])
             elif kind == "ping":
+                # Pings are lockstep (the coordinator sends the next round
+                # only after every shard answered), so the reply does not
+                # need to echo the generation in item[1].
                 results.put(("status", world.shard_index, transport.status()))
             elif kind == "sync":
                 with tracer.span("sync", shard=world.shard_index):
@@ -466,8 +477,10 @@ class WorkerPool:
     then call :meth:`sync` + :meth:`run_phase` per run.  The pool mirrors the
     facts its workers last reported, so :meth:`sync` ships only what changed
     in the coordinator since.  Any failure — a crashed worker, a stall, an
-    exceeded message bound — closes the pool; the caller (normally
-    :class:`PooledEngine`) respawns a fresh one on the next run.
+    exceeded message bound — closes the pool; the caller respawns a fresh one
+    on the next run.  :class:`PooledEngine` keeps one pool warm across runs;
+    :class:`~repro.sharding.multiproc.MultiprocEngine` spawns one per run and
+    closes it after the collect.
     """
 
     def __init__(self, plan: ShardPlan, worlds: list[ShardWorld]):
@@ -552,6 +565,13 @@ class WorkerPool:
         for queue in (*self._inboxes, self._results):
             queue.close()
             queue.cancel_join_thread()
+            # Let the feeder thread drop its semaphores now rather than race
+            # interpreter exit (a lost unregister makes the resource tracker
+            # warn of a leak).  Bounded: a killed worker may leave the pipe
+            # full, and then the feeder never finishes.
+            feeder = getattr(queue, "_thread", None)
+            if feeder is not None:
+                feeder.join(timeout=1.0)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -720,15 +740,16 @@ class PoolLike(Protocol):
 class WarmPoolLifecycle:
     """The warm-pool run driver shared by the mp and socket pooled engines.
 
-    Mixed in front of the engine base class; subclasses provide
-    :meth:`_spawn_pool` (how to bring a cold pool up over the live system)
-    and everything else — dead-pool detection, re-plan invalidation, delta
-    sync, forget-on-error — is one implementation, like
+    Mixed in front of the engine base class, whose ``_spawn_pool`` brings a
+    cold pool up over the live system (the one-shot engines spawn through it
+    too); everything else — dead-pool detection, re-plan invalidation, delta
+    sync, forget-on-error, closing the pool — is one implementation, like
     :class:`WorldMirror` is for the mirror bookkeeping.
     """
 
     planner: ShardPlanner | None
-    _pool = None
+    _spawn_pool: Callable[..., PoolLike]
+    _pool: PoolLike | None = None
     #: Set False (on the engine instance) to pin every warm update to the
     #: naive path — the parity tests use this to compare both paths over
     #: the same engine.
@@ -739,8 +760,18 @@ class WarmPoolLifecycle:
     #: not set it; any cold respawn clears it.
     _primed: bool = False
 
-    def _spawn_pool(self, system: P2PSystem, transport) -> PoolLike:
-        raise NotImplementedError  # pragma: no cover - mixin contract
+    @property
+    def pool(self) -> PoolLike | None:
+        """The live pool, or None before the first run / after close()."""
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the warm pool down, then the base engine (idempotent)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        # The engine base class follows this mixin in the MRO.
+        super().close()  # type: ignore[misc]
 
     def _drive_workers(
         self,
@@ -822,33 +853,3 @@ class PooledEngine(WarmPoolLifecycle, MultiprocEngine):
     """
 
     name = "pooled"
-
-    def __init__(self, planner: ShardPlanner | None = None):
-        super().__init__(planner)
-        self._pool: WorkerPool | None = None
-
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The live pool, or None before the first run / after close()."""
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a later run respawns)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "PooledEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _spawn_pool(self, system: P2PSystem, transport) -> WorkerPool:
-        return WorkerPool.spawn(system, transport.plan)

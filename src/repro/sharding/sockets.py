@@ -68,7 +68,7 @@ from repro.errors import NetworkError, ReproError
 from repro.faults.injector import NULL_INJECTOR, injector_of
 from repro.faults.recovery import retry_call
 from repro.network.latency import LatencyModel
-from repro.obs import NULL_TRACER, get_logger, tracer_of
+from repro.obs import NULL_TRACER, get_logger
 from repro.sharding.multiproc import (
     _WORKER_TIMEOUT,
     MultiprocEngine,
@@ -1129,12 +1129,13 @@ class PooledSocketTransport(SocketTransport):
 class SocketEngine(MultiprocEngine):
     """One-shot runs over shard hosts: connect, ship, run, tear down.
 
-    Each :meth:`run` opens fresh host connections, ships the worlds, drives
-    the phase to distributed quiescence and collects the merged state — the
-    cold :class:`~repro.sharding.multiproc.MultiprocEngine` semantics, with
-    TCP hosts instead of spawned processes.  Auto-spawned localhost hosts
-    are kept (and revived) across runs on the engine; ``close()`` stops
-    them.  For warm repeat runs use :class:`PooledSocketEngine`.
+    Each :meth:`run` opens a :class:`SocketPool` (fresh host connections,
+    worlds shipped), drives the phase to distributed quiescence, collects
+    the merged state and closes the pool — the run driver of
+    :class:`~repro.sharding.multiproc.MultiprocEngine`, inherited unchanged,
+    with TCP hosts instead of spawned processes.  Auto-spawned localhost
+    hosts are kept (and revived) across runs on the engine; ``close()``
+    stops them.  For warm repeat runs use :class:`PooledSocketEngine`.
     """
 
     name = "socket"
@@ -1164,18 +1165,6 @@ class SocketEngine(MultiprocEngine):
             self._cluster.close()
             self._cluster = None
 
-    def __enter__(self) -> "SocketEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
     def _hosts_for(self, transport: SocketTransport) -> Sequence[str]:
         """The transport's hosts, or the engine's (revived) localhost cluster."""
         if transport.hosts:
@@ -1185,29 +1174,17 @@ class SocketEngine(MultiprocEngine):
             return self._cluster.addresses
         return self._cluster.ensure_alive()
 
-    def _drive_workers(
-        self,
-        system: P2PSystem,
-        plan: ShardPlan,
-        phase: str,
-        origins: Iterable[NodeId],
-    ) -> list[dict]:
-        transport = self._check(system)
-        tracer = tracer_of(system)
-        injector = injector_of(system)
-        with tracer.span("ship", shards=plan.shard_count):
-            pool = SocketPool.spawn(
-                system,
-                plan,
-                self._hosts_for(transport),
-                max_frame=transport.max_frame,
-                injector=injector,
-            )
-        try:
-            injector.fire("ship", pool)
-            return pool.run_phase(phase, origins, tracer=tracer)
-        finally:
-            pool.close()
+    def _spawn_pool(self, system: P2PSystem, transport: SocketTransport) -> SocketPool:
+        # The injector is passed at spawn time (not only attached afterwards
+        # by the run drivers) so an unhealed partition already gates the
+        # world-shipping sends of a cold (re-)spawn.
+        return SocketPool.spawn(
+            system,
+            transport.plan,
+            self._hosts_for(transport),
+            max_frame=transport.max_frame,
+            injector=injector_of(system),
+        )
 
 
 class PooledSocketEngine(WarmPoolLifecycle, SocketEngine):
@@ -1223,31 +1200,3 @@ class PooledSocketEngine(WarmPoolLifecycle, SocketEngine):
     """
 
     name = "socket-pooled"
-
-    def __init__(self, planner: ShardPlanner | None = None):
-        super().__init__(planner)
-        self._pool: SocketPool | None = None
-
-    @property
-    def pool(self) -> SocketPool | None:
-        """The live pool, or None before the first run / after close()."""
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool and any auto-spawned hosts down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        super().close()
-
-    def _spawn_pool(self, system: P2PSystem, transport: SocketTransport) -> SocketPool:
-        # The injector is passed at spawn time (not only attached afterwards
-        # by WarmPoolLifecycle) so an unhealed partition already gates the
-        # world-shipping sends of a cold re-spawn.
-        return SocketPool.spawn(
-            system,
-            transport.plan,
-            self._hosts_for(transport),
-            max_frame=transport.max_frame,
-            injector=injector_of(system),
-        )

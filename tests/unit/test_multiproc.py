@@ -1,17 +1,22 @@
 """Unit tests for the coordinator side of the multi-process engine.
 
-Everything here runs without spawning a single child process: the worker
-transport's routing/stamping logic is driven directly, and the coordinator
-transport is exercised as the configuration-and-counters handle it is.
+Almost everything here runs without spawning a single child process: the
+worker transport's routing/stamping logic is driven directly, and the
+coordinator transport is exercised as the configuration-and-counters handle
+it is.  Only the per-run pool lifecycle tests at the end spawn real workers.
 The cross-process end-to-end behaviour lives in
 ``tests/integration/test_multiproc_parity.py``.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.api import ScenarioSpec, Session
 from repro.api.engine import engine_for
 from repro.core.system import P2PSystem
 from repro.errors import NetworkError, ReproError
+from repro.faults import FaultPlan, FaultSpec
 from repro.network.message import Message, MessageType
 from repro.sharding import MultiprocEngine, MultiprocTransport, ShardPlan
 from repro.sharding.multiproc import ShardWorld, _WorkerTransport, _worlds_from_system
@@ -200,3 +205,65 @@ class TestShardWorlds:
         clone = pickle.loads(pickle.dumps(world))
         assert clone.owned == ("a",)
         assert clone.data_slice["a"]["item"] == frozenset({("1", "2")})
+
+
+class TestOneShotPoolLifecycle:
+    """Each run spawns its own pool, closes it, and leaves no worker behind."""
+
+    SPEC = ScenarioSpec.of(
+        {
+            "a": [RelationSchema("item", ["x", "y"])],
+            "b": [RelationSchema("item", ["x", "y"])],
+            "c": [RelationSchema("item", ["x", "y"])],
+        },
+        ["r1: b: item(X, Y) -> a: item(X, Y)", "r2: c: item(X, Y) -> b: item(X, Y)"],
+        {"c": {"item": [("1", "2")]}},
+        transport="multiproc",
+        shards=2,
+    )
+
+    @staticmethod
+    def _record_pools(engine):
+        """Wrap the engine's pool spawn so the test sees every pool it makes."""
+        pools = []
+        spawn = engine._spawn_pool
+
+        def recording(system, transport):
+            pool = spawn(system, transport)
+            pools.append(pool)
+            return pool
+
+        engine._spawn_pool = recording
+        return pools
+
+    @staticmethod
+    def _live_worker_pids(pools):
+        live = {child.pid for child in multiprocessing.active_children()}
+        return {pid for pool in pools for pid in pool.worker_pids} & live
+
+    def test_each_update_runs_on_fresh_workers_that_exit(self):
+        with Session.from_spec(self.SPEC) as session:
+            pools = self._record_pools(session.engine)
+            session.update()
+            session.update()
+            assert session.system.node("a").database.facts()["item"] == {("1", "2")}
+            assert len(pools) == 2
+            assert all(pool.closed for pool in pools)
+            first, second = (set(pool.worker_pids) for pool in pools)
+            assert len(first) == len(second) == 2
+            assert not first & second
+            assert not self._live_worker_pids(pools)
+
+    def test_failed_run_leaves_no_worker_behind(self):
+        # A chase-phase kill always lands mid-run; with no recovery budget
+        # the run raises, and the pool must still be torn down.
+        plan = FaultPlan(
+            faults=[FaultSpec(kind="kill_worker", phase="chase", run_index=0)]
+        )
+        with Session.from_spec(self.SPEC.with_(faults=plan)) as session:
+            pools = self._record_pools(session.engine)
+            with pytest.raises(NetworkError):
+                session.update()
+            assert len(pools) == 1
+            assert pools[0].closed
+            assert not self._live_worker_pids(pools)
