@@ -102,12 +102,7 @@ from repro.workloads import (
     build_paper_example,
     build_dblp_network,
 )
-from repro.sharding import (
-    ShardPlan,
-    ShardPlanner,
-    ShardedEngine,
-    ShardedTransport,
-)
+from repro.sharding import ShardPlan, ShardPlanner
 from repro.stats import StatisticsCollector, format_table
 
 __version__ = "0.1.0"
@@ -178,8 +173,6 @@ __all__ = [
     # sharding
     "ShardPlan",
     "ShardPlanner",
-    "ShardedEngine",
-    "ShardedTransport",
     # baselines
     "centralized_update",
     "acyclic_update",

@@ -15,7 +15,7 @@ This package is the unified execution façade over the substrate in
   ``docs/scenarios.md``),
 * :class:`~repro.api.result.RunResult` — the uniform result of every run.
 
-The scaling engines (sharded, multiproc, pooled) live in
+The scaling engines (multiproc, pooled, socket) live in
 :mod:`repro.sharding` and plug into the same protocol; ``Session`` selects
 them from the spec's ``transport``/``shards``/``pool`` knobs
 (``docs/engines.md`` is the guide).

@@ -1,9 +1,8 @@
-"""Execution engines: run a protocol phase to quiescence on either transport.
+"""Execution engines: run a protocol phase to quiescence on any transport.
 
-The seed exposed ``run_discovery`` / ``run_discovery_async`` method pairs on
-:class:`~repro.core.system.P2PSystem`, each guarding against the wrong
-transport.  The façade factors that split into one :class:`ExecutionEngine`
-protocol with two implementations:
+One :class:`ExecutionEngine` protocol drives every transport of a
+:class:`~repro.core.system.P2PSystem`; the two single-queue
+implementations live here:
 
 * :class:`SyncEngine` drives a :class:`~repro.network.transport.SyncTransport`
   (the deterministic discrete-event simulator) and reads the virtual clock,
@@ -15,9 +14,8 @@ protocol with two implementations:
 Both expose ``run`` (blocking) and ``run_async`` (awaitable) with identical
 semantics, so :meth:`repro.api.session.Session.run` works identically over
 both transports; :func:`engine_for` picks the right engine for a transport.
-The scaling layer adds five more implementations behind the same protocol,
-selected the same way: :class:`repro.sharding.engine.ShardedEngine` (K
-in-process shard workers), :class:`repro.sharding.multiproc.MultiprocEngine`
+The scaling layer adds four more implementations behind the same protocol,
+selected the same way: :class:`repro.sharding.multiproc.MultiprocEngine`
 (one worker OS process per shard, a pool spawned and closed each run),
 :class:`repro.sharding.pool.PooledEngine` (the same processes kept warm
 across runs), and the cross-machine pair
@@ -171,7 +169,6 @@ def engine_for(transport: BaseTransport) -> ExecutionEngine:
     """The engine matching a transport instance."""
     # Imported lazily: repro.sharding imports this module for the phase
     # helpers, so a top-level import would be circular.
-    from repro.sharding.engine import ShardedEngine
     from repro.sharding.multiproc import MultiprocEngine, MultiprocTransport
     from repro.sharding.pool import PooledEngine, PooledTransport
     from repro.sharding.sockets import (
@@ -180,14 +177,11 @@ def engine_for(transport: BaseTransport) -> ExecutionEngine:
         SocketEngine,
         SocketTransport,
     )
-    from repro.sharding.transport import ShardedTransport
 
     if isinstance(transport, SyncTransport):
         return SyncEngine()
     if isinstance(transport, AsyncTransport):
         return AsyncEngine()
-    if isinstance(transport, ShardedTransport):
-        return ShardedEngine()
     # The transport hierarchy roots at MultiprocTransport, so the most
     # derived kinds must match first: pooled-socket < socket < multiproc,
     # and pooled < multiproc.

@@ -49,6 +49,11 @@ _SPEC_FORMAT = "repro-scenario/1"
 SchemaInput = DatabaseSchema | RelationSchema | Iterable[RelationSchema]
 
 
+#: The transports that partition the peers into shards (``shards=K``).
+_PARTITIONED = ("multiproc", "pooled", "socket")
+_PARTITIONED_HINT = "transport='multiproc'/'pooled'/'socket'"
+
+
 def _transport_label(transport: str | BaseTransport) -> str:
     """How error messages name the spec's transport setting."""
     if isinstance(transport, str):
@@ -128,11 +133,9 @@ class ScenarioSpec:
     strategy: str = "distributed"
     max_messages: int = 1_000_000
     name: str = "scenario"
-    #: Shard count for the partitioned transports (``"sharded"`` runs the
-    #: shards as asyncio tasks in-process, ``"multiproc"`` as one OS process
-    #: each).  Setting it on a spec whose transport is the default ``"sync"``
-    #: selects ``"sharded"`` implicitly, so ``spec.with_(shards=4)`` is the
-    #: whole knob; pair it with ``transport="multiproc"`` for real processes.
+    #: Shard count for the partitioned transports (``"multiproc"``,
+    #: ``"pooled"``, ``"socket"``: one worker OS process per shard).  The
+    #: single-queue ``"sync"`` and ``"async"`` transports refuse it.
     shards: int | None = None
     #: With ``transport="multiproc"``, keep the shard worker processes alive
     #: between runs (the persistent :class:`~repro.sharding.pool.WorkerPool`:
@@ -230,7 +233,7 @@ class ScenarioSpec:
         if isinstance(self.transport, BaseTransport):
             raise ReproError(
                 "cannot dump a spec holding a transport instance; use "
-                "transport='sync'/'async'/'sharded'/'multiproc'/'pooled'/'socket'"
+                "transport='sync'/'async'/'multiproc'/'pooled'/'socket'"
             )
         document = {
             "format": _SPEC_FORMAT,
@@ -363,17 +366,13 @@ class ScenarioSpec:
                 "system; use transport='sync'/'async' for a replayable spec"
             )
         transport = self.transport
-        if self.shards is not None:
-            if transport == "sync":
-                transport = "sharded"
-            elif transport not in ("sharded", "multiproc", "pooled", "socket"):
-                raise ReproError(
-                    f"shards={self.shards} needs a partitioned transport, but "
-                    f"the spec selects {_transport_label(transport)}; "
-                    "drop the shards setting or use "
-                    "transport='sharded'/'multiproc'/'pooled'/'socket'"
-                )
-        if self.pool and transport not in ("multiproc", "pooled", "socket"):
+        if self.shards is not None and transport not in _PARTITIONED:
+            raise ReproError(
+                f"shards={self.shards} needs a partitioned transport, but "
+                f"the spec selects {_transport_label(transport)}; "
+                f"drop the shards setting or use {_PARTITIONED_HINT}"
+            )
+        if self.pool and transport not in _PARTITIONED:
             from repro.sharding.multiproc import MultiprocTransport
 
             # A live MultiprocTransport (or a pooled/socket subclass) instance
@@ -382,7 +381,7 @@ class ScenarioSpec:
                 raise ReproError(
                     f"pool=True needs the multiproc or socket transport, but "
                     f"the spec selects {_transport_label(transport)}; "
-                    "use transport='multiproc'/'pooled'/'socket' with the pool flag"
+                    f"use {_PARTITIONED_HINT} with the pool flag"
                 )
         if self.hosts and transport != "socket":
             # A transport *instance* carries its own hosts; spec-level hosts
@@ -392,7 +391,7 @@ class ScenarioSpec:
                 f"{_transport_label(transport)}"
             )
         if self.faults is not None:
-            if transport not in ("multiproc", "pooled", "socket"):
+            if transport not in _PARTITIONED:
                 raise ReproError(
                     "faults= needs a process-backed transport "
                     "('multiproc'/'pooled'/'socket'), but the spec selects "
@@ -466,15 +465,15 @@ class NetworkBuilder:
         return self
 
     def transport(self, kind: str | BaseTransport) -> "NetworkBuilder":
-        """Select the transport: ``"sync"``, ``"async"``, ``"sharded"``,
-        ``"multiproc"``, ``"pooled"``, ``"socket"`` or an instance."""
+        """Select the transport: ``"sync"``, ``"async"``, ``"multiproc"``,
+        ``"pooled"``, ``"socket"`` or an instance."""
         self._settings["transport"] = kind
         return self
 
     def shards(self, count: int) -> "NetworkBuilder":
         """Run over a partitioned transport with ``count`` shards.
 
-        Defaults to the in-process ``"sharded"`` transport; combine with
+        Needs a partitioned transport: combine with
         ``.transport("multiproc")`` for one worker process per shard, or
         call :meth:`pooled` to keep those processes warm between runs.
         """

@@ -92,14 +92,14 @@ _EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], str]]] = {
                 records_per_node=getattr(args, "shard_records", 3),
                 shards=getattr(args, "shards", 4),
                 sizes=_parse_sizes(getattr(args, "sizes", "127,511")),
-                engine=getattr(args, "engine", "sharded"),
+                engine=getattr(args, "engine", "multiproc"),
                 repeats=getattr(args, "repeats", 3),
                 hosts=_parse_hosts(getattr(args, "hosts", None)),
                 trace_path=getattr(args, "trace", None),
                 faults=_load_fault_plan(getattr(args, "faults", None)),
             )
             if getattr(args, "engine", "sync")
-            in ("sharded", "multiproc", "pooled", "socket")
+            in ("multiproc", "pooled", "socket")
             else scalability.main(
                 records_per_node=args.records,
                 strategy=getattr(args, "strategy", "distributed"),
@@ -197,15 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine",
-        choices=("sync", "sharded", "multiproc", "pooled", "socket"),
+        choices=("sync", "multiproc", "pooled", "socket"),
         default="sync",
         help=(
-            "execution engine for E3: 'sharded' runs the large sync-vs-sharded "
-            "sweep instead of the paper-sized one; 'multiproc' additionally "
-            "runs the one-process-per-shard engine; 'pooled' adds the "
-            "repeat-run comparison against a persistent worker pool; "
-            "'socket' adds the TCP shard-host engine (see --hosts) "
-            "(default sync)"
+            "execution engine for E3: 'multiproc' runs the large "
+            "sync-vs-multiproc sweep (one process per shard) instead of the "
+            "paper-sized one; 'pooled' adds the repeat-run comparison "
+            "against a persistent worker pool; 'socket' adds the TCP "
+            "shard-host engine (see --hosts) (default sync)"
         ),
     )
     run_parser.add_argument(
@@ -231,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=4,
-        help="shard count for --engine sharded/multiproc (default 4)",
+        help="shard count for --engine multiproc/pooled/socket (default 4)",
     )
     run_parser.add_argument(
         "--sizes",
         default="127,511",
         help=(
-            "comma-separated node counts for --engine sharded/multiproc "
+            "comma-separated node counts for --engine multiproc/pooled/socket "
             "(default 127,511)"
         ),
     )
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="shard_records",
         type=int,
         default=3,
-        help="records per node for the sharded sweep (default 3; the sweep "
+        help="records per node for the E3 engine sweep (default 3; the sweep "
         "runs hundreds of nodes, so it stays small independently of --records)",
     )
 
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "write a Chrome trace-event JSON timeline of the E3 engine sweep "
             "to PATH (open it at https://ui.perfetto.dev); only valid with "
-            "E3 and --engine sharded/multiproc/pooled/socket"
+            "E3 and --engine multiproc/pooled/socket"
         ),
     )
     run_parser.add_argument(
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help=(
             "cross-shard cut fraction above which the P001 advisory fires "
-            "for sharded specs (default 0.5)"
+            "for partitioned specs (default 0.5)"
         ),
     )
 
@@ -515,13 +514,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         if getattr(args, "trace", None) and (
             args.experiment != "E3"
-            or args.engine not in ("sharded", "multiproc", "pooled", "socket")
+            or args.engine not in ("multiproc", "pooled", "socket")
         ):
             # Same loud-failure policy as --hosts: only the E3 engine sweep
             # is instrumented to write a trace file.
             print(
                 "error: --trace applies only to the E3 engine sweep "
-                "(run E3 --engine sharded/multiproc/pooled/socket); got "
+                "(run E3 --engine multiproc/pooled/socket); got "
                 f"{args.experiment} with --engine {args.engine}",
                 file=sys.stderr,
             )

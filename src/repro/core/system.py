@@ -7,13 +7,11 @@ opens the pipes the prototype would open, and applies dynamic-network changes.
 *Execution* lives one layer up: open a :class:`repro.api.Session` on the
 system (or build one with :class:`repro.api.NetworkBuilder` /
 :meth:`repro.api.Session.from_spec`) and call ``session.run("discovery")`` /
-``session.update(strategy=...)``.  The ``run_*`` methods still present here
-are deprecated shims kept for pre-façade callers.
+``session.update(strategy=...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping
 
 from repro.coordination.changeset import ChangeSet, StructuralDigest, digest_system
@@ -79,8 +77,8 @@ class P2PSystem:
         """Build a system from per-node schemas, rules and initial data.
 
         ``transport`` is either an existing transport instance or the string
-        ``"sync"`` / ``"async"`` / ``"sharded"`` / ``"multiproc"`` /
-        ``"pooled"`` / ``"socket"``; ``shards`` sets the shard count of the
+        ``"sync"`` / ``"async"`` / ``"multiproc"`` / ``"pooled"`` /
+        ``"socket"``; ``shards`` sets the shard count of the
         partitioned transports (default 2, ignored otherwise); ``pool=True``
         upgrades the ``"multiproc"`` transport to the persistent worker pool
         (equivalent to ``transport="pooled"``) and the ``"socket"`` transport
@@ -96,14 +94,6 @@ class P2PSystem:
             transport_obj = SyncTransport(latency=latency, max_messages=max_messages)
         elif transport == "async":
             transport_obj = AsyncTransport(latency=latency, max_messages=max_messages)
-        elif transport == "sharded":
-            from repro.sharding.transport import ShardedTransport
-
-            transport_obj = ShardedTransport(
-                shard_count=shards if shards is not None else 2,
-                latency=latency,
-                max_messages=max_messages,
-            )
         elif transport in ("multiproc", "pooled"):
             from repro.sharding.multiproc import MultiprocTransport
             from repro.sharding.pool import PooledTransport
@@ -129,7 +119,10 @@ class P2PSystem:
                 max_messages=max_messages,
             )
         else:
-            raise ReproError(f"unknown transport kind {transport!r}")
+            raise ReproError(
+                f"unknown transport kind {transport!r}; use 'sync'/'async' or "
+                "a partitioned transport 'multiproc'/'pooled'/'socket'"
+            )
         if hosts and not isinstance(transport, str):
             raise ReproError(
                 "hosts= only applies when the transport is built here; "
@@ -272,66 +265,6 @@ class P2PSystem:
             return self.nodes[node_id]
         except KeyError:
             raise ReproError(f"unknown node {node_id!r}") from None
-
-    # ------------------------------------------- protocols (deprecated shims)
-    #
-    # The execution logic lives in repro.api.engine; P2PSystem is the
-    # state-holding substrate.  These four methods remain as thin shims for
-    # pre-façade callers and will be removed in a future release.
-
-    def _deprecated(self, old: str, new: str) -> None:
-        warnings.warn(
-            f"P2PSystem.{old} is deprecated; use {new} "
-            "(see repro.api.Session)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run_discovery(self, origins: Iterable[NodeId] | None = None) -> float:
-        """Deprecated: use ``Session.run("discovery")``.
-
-        Runs topology discovery to quiescence on the synchronous transport and
-        returns the simulated completion time.
-        """
-        from repro.api.engine import SyncEngine
-
-        self._deprecated("run_discovery", 'Session.run("discovery")')
-        completion, _snapshot = SyncEngine().run(self, "discovery", origins)
-        return completion
-
-    def run_global_update(self, origins: Iterable[NodeId] | None = None) -> float:
-        """Deprecated: use ``Session.run("update")`` or ``Session.update()``.
-
-        Runs the distributed update to quiescence on the synchronous transport
-        and returns the simulated completion time.
-        """
-        from repro.api.engine import SyncEngine
-
-        self._deprecated("run_global_update", 'Session.run("update")')
-        completion, _snapshot = SyncEngine().run(self, "update", origins)
-        return completion
-
-    async def run_discovery_async(
-        self, origins: Iterable[NodeId] | None = None
-    ) -> StatsSnapshot:
-        """Deprecated: use ``await Session.run_async("discovery")``."""
-        from repro.api.engine import AsyncEngine
-
-        self._deprecated("run_discovery_async", 'Session.run_async("discovery")')
-        _completion, snapshot = await AsyncEngine().run_async(
-            self, "discovery", origins
-        )
-        return snapshot
-
-    async def run_global_update_async(
-        self, origins: Iterable[NodeId] | None = None
-    ) -> StatsSnapshot:
-        """Deprecated: use ``await Session.run_async("update")``."""
-        from repro.api.engine import AsyncEngine
-
-        self._deprecated("run_global_update_async", 'Session.run_async("update")')
-        _completion, snapshot = await AsyncEngine().run_async(self, "update", origins)
-        return snapshot
 
     # ----------------------------------------------------------------- queries
 

@@ -116,8 +116,7 @@ def run_scalability(
 #
 # The paper stopped at 31 peers; the partitioned engines push the same update
 # protocol to hundreds or thousands.  This sweep compares the single-queue
-# SyncEngine with the in-process ShardedEngine — and, optionally, the
-# one-OS-process-per-shard MultiprocEngine, the only configuration whose
+# SyncEngine with the one-OS-process-per-shard MultiprocEngine, whose
 # wall-clock can beat the GIL on multi-core hardware.  Topology discovery is
 # skipped at these sizes (the update phase does not depend on it, and
 # maximal-path enumeration on dense layered graphs is exactly the blow-up the
@@ -126,16 +125,15 @@ def run_scalability(
 
 @dataclass(frozen=True)
 class ShardComparison:
-    """One topology run under both engines, plus the shard traffic view.
+    """One topology run under the sync and multiproc engines, plus the
+    multiproc run's shard traffic view.
 
-    The ``multiproc_*`` columns are filled only when the sweep was asked to
-    include the multi-process engine (``include_multiproc=True`` /
-    ``run E3 --engine multiproc``); the ``pooled_*`` columns only for the
-    repeat-run pooled sweep (``include_pooled=True`` /
-    ``run E3 --engine pooled``), where ``multiproc_repeat_wall`` is the mean
-    wall-clock of *cold* multiproc runs (spawn + world ship every time) and
-    ``pooled_warm_wall`` the mean of the warm pool's second-and-later runs —
-    their gap is the amortised fixed overhead.
+    The ``pooled_*`` columns are filled only for the repeat-run pooled sweep
+    (``include_pooled=True`` / ``run E3 --engine pooled``), where
+    ``multiproc_repeat_wall`` is the mean wall-clock of *cold* multiproc runs
+    (spawn + world ship every time) and ``pooled_warm_wall`` the mean of the
+    warm pool's second-and-later runs — their gap is the amortised fixed
+    overhead; the ``socket_*`` columns only for ``include_socket=True``.
     """
 
     label: str
@@ -144,19 +142,13 @@ class ShardComparison:
     sync_time: float
     sync_wall: float
     sync_messages: int
-    sharded_time: float
-    sharded_wall: float
-    sharded_messages: int
+    multiproc_time: float
+    multiproc_wall: float
+    multiproc_messages: int
     cross_shard_messages: int
     cut_ratio: float
     messages_by_shard: dict[int, int]
     parity: bool
-    multiproc_time: float | None = None
-    multiproc_wall: float | None = None
-    multiproc_messages: int | None = None
-    multiproc_cross_shard: int | None = None
-    multiproc_cut_ratio: float | None = None
-    multiproc_parity: bool | None = None
     multiproc_repeat_wall: float | None = None
     pooled_first_wall: float | None = None
     pooled_warm_wall: float | None = None
@@ -181,7 +173,7 @@ def shard_sweep_specs(
     max_imports: int = 2,
     seed: int = 0,
 ) -> list[TopologySpec]:
-    """Large topologies for the sharded sweep: one tree + one layered DAG per size.
+    """Large topologies for the shard sweep: one tree + one layered DAG per size.
 
     Trees are the complete binary trees closest to each requested size.
     Layered DAGs take a wide-and-shallow shape (depth ≈ log2(size), width
@@ -210,7 +202,6 @@ def run_shard_scalability(
     max_imports: int = 2,
     seed: int = 0,
     check_parity: bool = True,
-    include_multiproc: bool = False,
     include_pooled: bool = False,
     include_socket: bool = False,
     hosts: Sequence[str] | None = None,
@@ -220,13 +211,13 @@ def run_shard_scalability(
 ) -> list[ShardComparison]:
     """Run the global update under the sync and the partitioned engines side by side.
 
+    Every topology runs under the single-queue sync engine and the
+    one-process-per-shard :class:`~repro.sharding.multiproc.MultiprocEngine`.
     Reports, per topology: simulated completion time and wall-clock for each
     engine, per-shard delivery counts, and the cross-shard (cut) traffic the
     planner could not avoid.  ``check_parity`` additionally compares the
     final ground states (the Lemma 1 guarantee, now at scale);
-    ``include_multiproc`` adds a third run under the one-process-per-shard
-    :class:`~repro.sharding.multiproc.MultiprocEngine`; ``include_pooled``
-    (implies multiproc) adds a *repeat-run* comparison — ``repeats`` update
+    ``include_pooled`` adds a *repeat-run* comparison — ``repeats`` update
     runs on the cold multiproc session (each paying spawn + world shipping)
     against the same runs on one warm
     :class:`~repro.sharding.pool.WorkerPool` session (spawn once, deltas
@@ -239,15 +230,14 @@ def run_shard_scalability(
     one timeline — worker-process spans included.  ``faults`` (the CLI's
     ``--faults plan.json``) injects the same seeded
     :class:`~repro.faults.FaultPlan` into every partitioned-engine session
-    of the sweep — the sync baseline stays fault-free, so the parity columns
-    double as the convergence check.
+    of the sweep (the socket run alone when ``include_socket``) — the sync
+    baseline stays fault-free, so the parity columns double as the
+    convergence check.
     """
     from repro.core.fixpoint import ground_part
 
-    if include_pooled:
-        include_multiproc = True
-        if repeats < 2:
-            raise ReproError("the pooled repeat-run sweep needs repeats >= 2")
+    if include_pooled and repeats < 2:
+        raise ReproError("the pooled repeat-run sweep needs repeats >= 2")
     comparisons: list[ShardComparison] = []
     for spec in shard_sweep_specs(sizes, max_imports=max_imports, seed=seed):
         scenario = ScenarioSpec.from_topology(
@@ -263,77 +253,59 @@ def run_shard_scalability(
         sync_wall = time.perf_counter() - started
 
         started = time.perf_counter()
-        sharded_session = Session.from_spec(
-            scenario.with_(shards=shards), capture_deltas=False, tracer=tracer
+        # A socket sweep injects its plan into the socket run alone (partition
+        # faults exist only there); the multiproc column stays fault-free.
+        multiproc_faults = None if include_socket else faults
+        multiproc_session = Session.from_spec(
+            scenario.with_(
+                transport="multiproc", shards=shards, faults=multiproc_faults
+            ),
+            capture_deltas=False,
+            tracer=tracer,
         )
-        sharded_result = sharded_session.run("update")
-        sharded_wall = time.perf_counter() - started
+        multiproc_result = multiproc_session.run("update")
+        multiproc_wall = time.perf_counter() - started
 
-        traffic = sharded_result.stats.sharding
-        assert traffic is not None  # the sharded engine always attaches it
+        traffic = multiproc_result.stats.sharding
+        assert traffic is not None  # the multiproc engine always attaches it
         parity = True
         sync_ground = ground_part(sync_session.databases()) if check_parity else None
         if check_parity:
-            parity = sync_ground == ground_part(sharded_session.databases())
+            parity = sync_ground == ground_part(multiproc_session.databases())
 
-        multiproc_columns: dict = {}
-        if include_multiproc:
-            started = time.perf_counter()
-            multiproc_session = Session.from_spec(
-                scenario.with_(transport="multiproc", shards=shards, faults=faults),
+        pooled_columns: dict = {}
+        if include_pooled:
+            # Cold repeats: every further run on the plain multiproc
+            # session respawns workers and re-ships the worlds.
+            cold_walls = [multiproc_wall]
+            for _ in range(repeats - 1):
+                started = time.perf_counter()
+                multiproc_session.run("update")
+                cold_walls.append(time.perf_counter() - started)
+            with Session.from_spec(
+                scenario.with_(transport="pooled", shards=shards, faults=faults),
                 capture_deltas=False,
                 tracer=tracer,
-            )
-            multiproc_result = multiproc_session.run("update")
-            multiproc_wall = time.perf_counter() - started
-            multiproc_traffic = multiproc_result.stats.sharding
-            assert multiproc_traffic is not None
-            multiproc_parity = True
-            if check_parity:
-                multiproc_parity = sync_ground == ground_part(
-                    multiproc_session.databases()
-                )
-            multiproc_columns = dict(
-                multiproc_time=multiproc_result.completion_time,
-                multiproc_wall=multiproc_wall,
-                multiproc_messages=multiproc_result.stats.total_messages,
-                multiproc_cross_shard=multiproc_traffic.cross_shard_messages,
-                multiproc_cut_ratio=multiproc_traffic.cut_ratio,
-                multiproc_parity=multiproc_parity,
-            )
-
-            if include_pooled:
-                # Cold repeats: every further run on the plain multiproc
-                # session respawns workers and re-ships the worlds.
-                cold_walls = [multiproc_wall]
+            ) as pooled_session:
+                started = time.perf_counter()
+                pooled_session.run("update")
+                pooled_first = time.perf_counter() - started
+                warm_walls = []
                 for _ in range(repeats - 1):
                     started = time.perf_counter()
-                    multiproc_session.run("update")
-                    cold_walls.append(time.perf_counter() - started)
-                with Session.from_spec(
-                    scenario.with_(transport="pooled", shards=shards, faults=faults),
-                    capture_deltas=False,
-                    tracer=tracer,
-                ) as pooled_session:
-                    started = time.perf_counter()
                     pooled_session.run("update")
-                    pooled_first = time.perf_counter() - started
-                    warm_walls = []
-                    for _ in range(repeats - 1):
-                        started = time.perf_counter()
-                        pooled_session.run("update")
-                        warm_walls.append(time.perf_counter() - started)
-                    pooled_parity = True
-                    if check_parity:
-                        pooled_parity = sync_ground == ground_part(
-                            pooled_session.databases()
-                        )
-                multiproc_columns.update(
-                    multiproc_repeat_wall=sum(cold_walls) / len(cold_walls),
-                    pooled_first_wall=pooled_first,
-                    pooled_warm_wall=sum(warm_walls) / len(warm_walls),
-                    pooled_parity=pooled_parity,
-                )
+                    warm_walls.append(time.perf_counter() - started)
+                pooled_parity = True
+                if check_parity:
+                    pooled_parity = sync_ground == ground_part(
+                        pooled_session.databases()
+                    )
+            pooled_columns = dict(
+                multiproc_repeat_wall=sum(cold_walls) / len(cold_walls),
+                pooled_first_wall=pooled_first,
+                pooled_warm_wall=sum(warm_walls) / len(warm_walls),
+                pooled_parity=pooled_parity,
+            )
 
         socket_columns: dict = {}
         if include_socket:
@@ -373,14 +345,14 @@ def run_shard_scalability(
                 sync_time=sync_result.completion_time,
                 sync_wall=sync_wall,
                 sync_messages=sync_result.stats.total_messages,
-                sharded_time=sharded_result.completion_time,
-                sharded_wall=sharded_wall,
-                sharded_messages=sharded_result.stats.total_messages,
+                multiproc_time=multiproc_result.completion_time,
+                multiproc_wall=multiproc_wall,
+                multiproc_messages=multiproc_result.stats.total_messages,
                 cross_shard_messages=traffic.cross_shard_messages,
                 cut_ratio=traffic.cut_ratio,
                 messages_by_shard=dict(traffic.messages_by_shard),
                 parity=parity,
-                **multiproc_columns,
+                **pooled_columns,
                 **socket_columns,
             )
         )
@@ -391,7 +363,7 @@ def shard_main(
     records_per_node: int = 3,
     shards: int = 4,
     sizes: Sequence[int] = (127, 511),
-    engine: str = "sharded",
+    engine: str = "multiproc",
     repeats: int = 3,
     hosts: Sequence[str] | None = None,
     trace_path: str | None = None,
@@ -399,9 +371,8 @@ def shard_main(
 ) -> str:
     """Print the engine-comparison sweep table.
 
-    ``run E3 --engine sharded`` compares sync vs the in-process sharded
-    engine; ``run E3 --engine multiproc`` adds the one-process-per-shard
-    engine as a third column group; ``run E3 --engine pooled`` additionally
+    ``run E3 --engine multiproc`` compares sync vs the one-process-per-shard
+    engine; ``run E3 --engine pooled`` additionally
     re-runs the update ``repeats`` times on a cold multiproc session and on
     a warm worker pool, so the amortised spawn/ship overhead is visible as
     the gap between the ``mp repeat wall`` and ``pool warm wall`` columns;
@@ -412,7 +383,6 @@ def shard_main(
     (open it at https://ui.perfetto.dev) and appends the per-phase summary
     table to the output.
     """
-    include_multiproc = engine in ("multiproc", "pooled")
     include_pooled = engine == "pooled"
     include_socket = engine == "socket"
     tracer = Tracer(process="coordinator") if trace_path else None
@@ -420,7 +390,6 @@ def shard_main(
         sizes=sizes,
         shards=shards,
         records_per_node=records_per_node,
-        include_multiproc=include_multiproc,
         include_pooled=include_pooled,
         include_socket=include_socket,
         hosts=hosts,
@@ -434,8 +403,9 @@ def shard_main(
         "sync time",
         "sync wall s",
         "sync msgs",
-        "sharded time",
-        "sharded wall s",
+        "mp time",
+        "mp wall s",
+        "mp msgs",
         "msgs/shard",
         "cross-shard",
         "cut ratio",
@@ -449,21 +419,14 @@ def shard_main(
             c.sync_time,
             f"{c.sync_wall:.2f}",
             c.sync_messages,
-            c.sharded_time,
-            f"{c.sharded_wall:.2f}",
+            c.multiproc_time,
+            f"{c.multiproc_wall:.2f}",
+            c.multiproc_messages,
             c.per_shard_column,
             c.cross_shard_messages,
             f"{c.cut_ratio:.3f}",
             c.parity,
         ]
-        if include_multiproc:
-            row += [
-                c.multiproc_time,
-                f"{c.multiproc_wall:.2f}",
-                c.multiproc_cross_shard,
-                f"{c.multiproc_cut_ratio:.3f}",
-                c.multiproc_parity,
-            ]
         if include_pooled:
             row += [
                 f"{c.multiproc_repeat_wall:.2f}",
@@ -479,14 +442,6 @@ def shard_main(
                 c.socket_parity,
             ]
         rows.append(row)
-    if include_multiproc:
-        headers += [
-            "mp time",
-            "mp wall s",
-            "mp cross-shard",
-            "mp cut ratio",
-            "mp parity",
-        ]
     if include_pooled:
         headers += [
             "mp repeat wall s",
@@ -502,13 +457,11 @@ def shard_main(
             "socket parity",
         ]
     if include_pooled:
-        engines = "sync vs sharded vs multiproc vs pooled"
-    elif include_multiproc:
-        engines = "sync vs sharded vs multiproc"
+        engines = "sync vs multiproc vs pooled"
     elif include_socket:
-        engines = "sync vs sharded vs socket"
+        engines = "sync vs multiproc vs socket"
     else:
-        engines = "sync vs sharded"
+        engines = "sync vs multiproc"
     title = (
         f"E3 — {engines} update ({shards} shards, "
         f"{records_per_node} records/node, discovery skipped"

@@ -214,7 +214,7 @@ def warm_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """Re-target a spec onto a warm (persistent-worker) transport.
 
     Served tenants answer many requests over one network, so the cold
-    engines make no sense behind the front-end: ``sync``/``async``/``sharded``
+    engines make no sense behind the front-end: ``sync``/``async``
     become the pooled multiproc engine, ``multiproc`` gains ``pool=True``,
     and ``socket`` keeps its fleet but pools the connections and workers.
     Specs already warm pass through unchanged.

@@ -1,4 +1,4 @@
-"""Sharded execution: partition the network, run one worker per shard.
+"""Sharded execution: partition the network, run one worker process per shard.
 
 The paper's experiments stop at 31 peers; this subsystem is the scaling
 layer that pushes the same protocols toward thousands.  Four pieces:
@@ -8,19 +8,13 @@ layer that pushes the same protocols toward thousands.  Four pieces:
   neighbours co-locate (:class:`~repro.sharding.planner.ShardPlan` is the
   resulting assignment; :func:`~repro.sharding.planner.round_robin_plan` the
   locality-blind baseline),
-* :class:`~repro.sharding.transport.ShardedTransport` — K per-shard event
-  queues with inter-shard mailboxes for cross-cut messages and a
-  distributed-quiescence barrier (per-shard idle + empty mailboxes), driven
-  by :class:`~repro.sharding.engine.ShardedEngine` behind the usual
-  :class:`~repro.api.engine.ExecutionEngine` protocol
-  (``ScenarioSpec(transport="sharded", shards=K)``),
 * :class:`~repro.sharding.multiproc.MultiprocTransport` /
-  :class:`~repro.sharding.multiproc.MultiprocEngine` — the same shard
-  boundary with one OS *process* per shard (``multiprocessing`` spawn,
-  queue-backed mailboxes, a cross-process quiescence barrier), selected via
-  ``ScenarioSpec(transport="multiproc", shards=K)`` — the first engine with
-  real multi-core wall-clock speedups on the 500+-node sweeps; each run
-  spawns a :class:`~repro.sharding.pool.WorkerPool` and closes it after,
+  :class:`~repro.sharding.multiproc.MultiprocEngine` — one OS *process* per
+  shard (``multiprocessing`` spawn, queue-backed inter-shard mailboxes, a
+  cross-process quiescence barrier), selected via
+  ``ScenarioSpec(transport="multiproc", shards=K)``; each run spawns a
+  :class:`~repro.sharding.pool.WorkerPool` and closes it after, and reports
+  per-shard and cross-shard traffic on ``StatsSnapshot.sharding``,
 * :class:`~repro.sharding.pool.WorkerPool` /
   :class:`~repro.sharding.pool.PooledEngine` — the *persistent* variant of
   the multiproc engine (``transport="pooled"``, or ``"multiproc"`` with
@@ -44,7 +38,6 @@ See ``docs/architecture.md`` for where this layer sits in the system and
 ``docs/engines.md`` for when to pick which engine.
 """
 
-from repro.sharding.engine import ShardedEngine
 from repro.sharding.multiproc import MultiprocEngine, MultiprocTransport
 from repro.sharding.planner import ShardPlan, ShardPlanner, round_robin_plan
 from repro.sharding.pool import (
@@ -64,7 +57,6 @@ from repro.sharding.sockets import (
     SocketPool,
     SocketTransport,
 )
-from repro.sharding.transport import ShardedTransport
 
 __all__ = [
     "LocalHostCluster",
@@ -77,8 +69,6 @@ __all__ = [
     "ShardHost",
     "ShardPlan",
     "ShardPlanner",
-    "ShardedEngine",
-    "ShardedTransport",
     "SocketEngine",
     "SocketPool",
     "SocketTransport",

@@ -1,23 +1,21 @@
 """Multi-process sharded execution: one OS process per shard.
 
-:class:`~repro.sharding.transport.ShardedTransport` runs its K shard workers
-as asyncio tasks inside one interpreter, so the 500+-node sweeps gain no
-wall-clock parallelism from the partition.  This module keeps the exact same
-shard boundary — the :class:`~repro.sharding.planner.ShardPlanner` partition,
-inter-shard mailboxes, per-shard clocks, a distributed-quiescence barrier —
-but gives every shard a real worker **process** (``multiprocessing`` spawn)
-with its own interpreter, GIL and event queue:
+The :class:`~repro.sharding.planner.ShardPlanner` partitions the peers into
+K shards; this module gives every shard a real worker **process**
+(``multiprocessing`` spawn) with its own interpreter, GIL and event queue,
+joined by inter-shard mailboxes, per-shard clocks and a
+distributed-quiescence barrier:
 
 * :class:`MultiprocTransport` is the coordinator-side handle: it carries the
   run configuration (shard count, latency, message bound), adopts the shard
-  plan, and after a run exposes the merged per-shard counters through the
-  same surface as the in-process transport (``shard_message_counts()``,
-  ``cross_shard_messages``, ...).  It never delivers a message itself.
+  plan, and after a run exposes the merged per-shard counters
+  (``shard_message_counts()``, ``cross_shard_messages``, ...).  It never
+  delivers a message itself.
 * ``_WorkerTransport`` lives inside each worker process: a discrete-event
   queue for intra-shard traffic plus outboxes (``multiprocessing`` queues)
   for messages whose recipient lives in another shard.  Cross-shard messages
   are stamped ``sender shard clock + latency`` by the sender and advance the
-  receiving shard's clock on delivery, mirroring the in-process semantics.
+  receiving shard's clock on delivery.
 * :class:`MultiprocEngine` implements the
   :class:`~repro.api.engine.ExecutionEngine` protocol: it plans the partition,
   spawns a :class:`~repro.sharding.pool.WorkerPool` for the run (shipping
@@ -30,11 +28,11 @@ with its own interpreter, GIL and event queue:
   process-backed engine runs.
 
 Clock caveat: each worker drains its local queue to exhaustion between
-stimuli, so per-shard virtual clocks run further ahead than the in-process
-sharded transport's interleaved workers — the *simulated* completion time of
-a multiproc run over-approximates the sharded one on dense cuts.  Wall-clock
-time is this engine's honest metric; the simulated clocks exist so traffic
-ordering stays causally sane.
+stimuli and there is no global time synchronisation between shards, so the
+*simulated* completion time of a multiproc run over-approximates the sync
+engine's global discrete-event clock on dense cuts.  Wall-clock time is this
+engine's honest metric; the simulated clocks exist so traffic ordering stays
+causally sane.
 
 Quiescence across processes uses the classic cumulative-counter double check:
 the coordinator pings every worker for ``(cross-sent per shard, cross-received,
@@ -466,9 +464,7 @@ class MultiprocTransport(BaseTransport):
     It registers the system's peers like any transport (so the substrate
     builds unchanged) but never delivers: execution happens in the worker
     processes that :class:`MultiprocEngine` spawns.  After a run it holds the
-    merged per-shard counters, exposed through the same properties as the
-    in-process :class:`~repro.sharding.transport.ShardedTransport` so the
-    traffic stats of the two engines are directly comparable.
+    merged per-shard counters that :class:`ShardTrafficStats` reports.
     """
 
     def __init__(
@@ -758,7 +754,7 @@ class MultiprocEngine:
     def _traffic_stats(
         self, transport: MultiprocTransport, snapshot: StatsSnapshot
     ) -> ShardTrafficStats:
-        """The per-shard traffic view, same shape as the sharded engine's."""
+        """The per-shard traffic view of one run."""
         tuples_by_shard = {shard: 0 for shard in range(transport.shard_count)}
         for node_id, node_stats in snapshot.nodes.items():
             try:

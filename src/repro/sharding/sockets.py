@@ -1,6 +1,6 @@
 """Socket-backed shard hosts: the partitioned engines across machines.
 
-Every engine so far — sharded, multiproc, pooled — confines all K shards to
+The multiproc and pooled engines confine all K shards to
 one box's cores, which caps the sweeps near 1023 nodes.  The paper's
 coordination model is inherently distributed (peers on different machines
 exchanging update messages), and the pool's delta-sync protocol and

@@ -57,7 +57,7 @@ class NodeStats:
 
 @dataclass(frozen=True)
 class ShardTrafficStats:
-    """Traffic accounting of one sharded run (see :mod:`repro.sharding`).
+    """Traffic accounting of one partitioned run (see :mod:`repro.sharding`).
 
     ``messages_by_shard`` counts deliveries executed by each shard worker,
     ``tuples_by_shard`` the tuples received by the peers of each shard, and
@@ -97,7 +97,8 @@ class StatsSnapshot:
     nodes: dict[str, NodeStats]
     simulated_time: float
     elapsed_wall_seconds: float
-    #: Filled by the sharded engine only; None for unsharded runs.
+    #: Filled by the partitioned engines (multiproc, pooled, socket); None
+    #: for the single-queue sync and async runs.
     sharding: ShardTrafficStats | None = None
 
     @property

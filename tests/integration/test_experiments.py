@@ -80,7 +80,7 @@ class TestE3Scalability:
 
 
 class TestE3ShardSweep:
-    def test_sync_and_sharded_agree_at_reduced_scale(self):
+    def test_sync_and_multiproc_agree_at_reduced_scale(self):
         comparisons = run_shard_scalability(
             sizes=(15,), shards=2, records_per_node=3
         )
@@ -88,9 +88,9 @@ class TestE3ShardSweep:
         for comparison in comparisons:
             assert comparison.parity
             assert comparison.shards == 2
-            assert comparison.sharded_messages > 0
+            assert comparison.multiproc_messages > 0
             assert sum(comparison.messages_by_shard.values()) == (
-                comparison.sharded_messages
+                comparison.multiproc_messages
             )
             assert 0.0 <= comparison.cut_ratio <= 1.0
 

@@ -32,7 +32,7 @@ from repro.workloads.topologies import layered_topology, tree_topology
 #: Engine configurations compared against the synchronous reference.  The
 #: pooled engines keep worker processes warm across the two updates (the
 #: incremental path); the rest re-run naively and double as the control.
-ENGINES = ["sync", "async", "sharded", "multiproc", "pooled", "socket-pooled"]
+ENGINES = ["sync", "async", "multiproc", "pooled", "socket-pooled"]
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,6 @@ def _spec_for(engine: str, spec: ScenarioSpec, cluster) -> ScenarioSpec:
         return spec
     if engine == "async":
         return spec.with_(transport="async")
-    if engine == "sharded":
-        return spec.with_(transport="sharded", shards=2)
     if engine == "multiproc":
         return spec.with_(transport="multiproc", shards=2)
     if engine == "pooled":

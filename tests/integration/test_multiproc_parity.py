@@ -1,12 +1,11 @@
 """State parity of the multi-process engine against the synchronous reference.
 
-The acceptance bar of the multiproc subsystem mirrors the sharded one:
-whatever the partitioning and however the OS schedules the shard workers,
+Whatever the partitioning and however the OS schedules the shard workers,
 ``MultiprocEngine`` must drive the update protocol to the same per-node
 ground state as ``SyncEngine`` on the paper's three topology families and
 the Section 2 example, at K=1 (one worker process) and K=4 (real
 cross-process traffic).  The cross-shard counters must also stay consistent
-with the in-process ``ShardedEngine``'s view of the same shard plan.
+with the shard plan's cut.
 
 These tests spawn real worker processes (``multiprocessing`` spawn), so each
 run pays interpreter start-up; topologies are kept small.
@@ -86,33 +85,56 @@ class TestMultiprocParity:
             multiproc_result.ground_databases() == sync_result.ground_databases()
         )
 
-    def test_cross_shard_counters_consistent_with_sharded_engine(self):
-        # Both partitioned engines plan with the same ShardPlanner, so they
-        # agree on the cut; their cross-shard traffic must tell the same
-        # story — real traffic crosses the cut, but most deliveries stay
-        # local in both views.
+    def test_cross_shard_counters_consistent_with_the_shard_plan(self):
+        # The ShardPlanner's min-cut keeps chatty neighbours together: real
+        # traffic crosses the cut, but most deliveries stay local, and every
+        # delivery is counted on exactly one shard.
         spec = ScenarioSpec.from_topology(
             tree_topology(3, 2), records_per_node=3, seed=0
         )
-        sharded_session = Session.from_spec(spec.with_(shards=4), capture_deltas=False)
-        sharded_result = sharded_session.run("update")
+        sync_session = Session.from_spec(spec, capture_deltas=False)
+        sync_session.run("update")
         multiproc_session = Session.from_spec(
             spec.with_(transport="multiproc", shards=4), capture_deltas=False
         )
         multiproc_result = multiproc_session.run("update")
 
-        sharded_traffic = sharded_result.stats.sharding
         multiproc_traffic = multiproc_result.stats.sharding
-        assert sharded_traffic.shard_count == multiproc_traffic.shard_count
+        assert multiproc_traffic.shard_count == 4
         assert multiproc_traffic.cross_shard_messages > 0
         assert multiproc_traffic.cut_ratio < 0.5
-        assert sharded_traffic.cut_ratio < 0.5
-        # Same fix-point through either partitioned engine.
+        assert multiproc_traffic.total_messages == multiproc_result.stats.total_messages
+        # Same fix-point as the single-queue reference.
         from repro.core.fixpoint import ground_part
 
-        assert ground_part(sharded_session.databases()) == ground_part(
+        assert ground_part(sync_session.databases()) == ground_part(
             multiproc_session.databases()
         )
+
+    def test_discovery_parity_with_sync(self):
+        # Topology discovery also runs in the worker processes; the Paths
+        # relations merged back must match the synchronous run.
+        spec = ScenarioSpec.of(
+            paper_example_schemas(),
+            paper_example_rules(),
+            paper_example_data(),
+            super_peer="A",
+        )
+        sync_session = Session.from_spec(spec)
+        sync_session.run("discovery")
+        multiproc_session = Session.from_spec(
+            spec.with_(transport="multiproc", shards=3)
+        )
+        multiproc_session.run("discovery")
+        sync_paths = {
+            node_id: node.state.maximal_paths()
+            for node_id, node in sync_session.system.nodes.items()
+        }
+        multiproc_paths = {
+            node_id: node.state.maximal_paths()
+            for node_id, node in multiproc_session.system.nodes.items()
+        }
+        assert multiproc_paths == sync_paths
 
     def test_multiproc_reaches_closure_and_satisfies_rules(self):
         from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules

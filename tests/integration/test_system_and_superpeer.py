@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session, SyncEngine
 from repro.coordination.rule import rule_from_text
 from repro.core.superpeer import SuperPeer
 from repro.core.system import P2PSystem
@@ -68,9 +69,9 @@ class TestSystemAssembly:
     def test_sync_methods_require_sync_transport(self):
         system = build_paper_example(transport="async")
         with pytest.raises(ReproError):
-            system.run_discovery()
+            Session.of(system, engine=SyncEngine()).run("discovery")
         with pytest.raises(ReproError):
-            system.run_global_update()
+            Session.of(system, engine=SyncEngine()).run("update")
 
     def test_dependency_graph_includes_isolated_nodes(self):
         system = P2PSystem.build(

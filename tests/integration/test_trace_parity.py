@@ -1,7 +1,7 @@
 """Tracing must be a pure observer: traced and untraced runs are identical.
 
 Two guarantees ride on this suite.  First, opening a session with
-``trace=True`` changes *nothing* about a run's outcome on any of the five
+``trace=True`` changes *nothing* about a run's outcome on any of the four
 engines — same final databases, same statistics — the only difference being
 the trace document on ``RunResult.extras["trace"]``.  Second (the other half
 of the same refactor), every engine assembles its :class:`StatsSnapshot`
@@ -9,7 +9,7 @@ through the one :class:`~repro.obs.metrics.MetricsRegistry` code path, so
 engines whose execution is deterministic produce *equal* snapshots, not just
 similar ones.
 
-The deterministic engines (sync, sharded) are compared bit-for-bit; the
+The deterministic sync engine is compared bit-for-bit; the
 process-backed engines (multiproc, pooled, socket) schedule deliveries at
 the mercy of the OS, so their message accounting legitimately varies between
 runs — for those the suite pins the ground state and the convergence
@@ -29,7 +29,6 @@ from repro.workloads.topologies import tree_topology
 #: OS processes (and "socket" a TCP host fleet) per run.
 ENGINES = {
     "sync": lambda spec: spec,
-    "sharded": lambda spec: spec.with_(shards=2),
     "multiproc": lambda spec: spec.with_(transport="multiproc", shards=2),
     "pooled": lambda spec: spec.with_(transport="pooled", shards=2),
     "socket": lambda spec: spec.with_(transport="socket", shards=2),
@@ -37,7 +36,7 @@ ENGINES = {
 
 #: Engines whose runs are deterministic end to end (single-threaded
 #: scheduling), so even the message counters must match exactly.
-DETERMINISTIC = ("sync", "sharded")
+DETERMINISTIC = ("sync",)
 
 
 def base_spec() -> ScenarioSpec:
@@ -117,12 +116,6 @@ class TestTraceParity:
 
 class TestOneSnapshotCodePath:
     """All engines assemble their snapshot through the metrics registry."""
-
-    def test_sync_and_sharded_snapshots_are_equal(self):
-        _dbs, sync_result = _run(base_spec(), trace=False)
-        _dbs, sharded_result = _run(ENGINES["sharded"](base_spec()), trace=False)
-        sharded = replace(_comparable(sharded_result.stats), sharding=None)
-        assert sharded == _comparable(sync_result.stats)
 
     def test_async_snapshot_matches_on_everything_but_the_clock(self):
         _dbs, sync_result = _run(base_spec(), trace=False)

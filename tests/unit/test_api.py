@@ -194,10 +194,9 @@ class TestSystemSubstrate:
         with pytest.raises(ReproError, match="ghost"):
             system.load_data({"ghost": {"item": [("1", "2")]}})
 
-    def test_deprecated_shims_still_work_and_warn(self):
+    def test_session_of_runs_a_built_system(self):
         system = small_builder().build().build_system()
-        with pytest.warns(DeprecationWarning):
-            completion = system.run_discovery()
+        completion = Session.of(system).run("discovery").completion_time
         assert completion > 0
 
 

@@ -31,9 +31,9 @@ class TestParser:
 
     def test_engine_and_shard_flags(self):
         args = build_parser().parse_args(
-            ["run", "E3", "--engine", "sharded", "--shards", "8", "--sizes", "63"]
+            ["run", "E3", "--engine", "multiproc", "--shards", "8", "--sizes", "63"]
         )
-        assert args.engine == "sharded"
+        assert args.engine == "multiproc"
         assert args.shards == 8
         assert args.sizes == "63"
         assert args.shard_records == 3
@@ -138,14 +138,14 @@ class TestExecution:
         )
         assert "--hosts applies only" in capsys.readouterr().err
 
-    def test_main_runs_the_sharded_sweep(self, capsys):
+    def test_main_runs_the_multiproc_sweep(self, capsys):
         assert (
             main(
                 [
                     "run",
                     "E3",
                     "--engine",
-                    "sharded",
+                    "multiproc",
                     "--shards",
                     "2",
                     "--sizes",
@@ -157,5 +157,5 @@ class TestExecution:
             == 0
         )
         out = capsys.readouterr().out
-        assert "sync vs sharded" in out
+        assert "sync vs multiproc" in out
         assert "cross-shard" in out

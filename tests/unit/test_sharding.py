@@ -1,20 +1,9 @@
-"""Unit tests for the sharding subsystem: planner, transport, engine."""
-
-import asyncio
+"""Unit tests for the shard planner that every partitioned engine uses."""
 
 import pytest
 
-from repro.api.engine import engine_for
-from repro.core.system import P2PSystem
-from repro.errors import NetworkError, ReproError, UnknownPeerError
-from repro.network.message import Message, MessageType
-from repro.sharding import (
-    ShardPlan,
-    ShardPlanner,
-    ShardedEngine,
-    ShardedTransport,
-    round_robin_plan,
-)
+from repro.errors import ReproError
+from repro.sharding import ShardPlan, ShardPlanner, round_robin_plan
 from repro.workloads.topologies import (
     chain_topology,
     clique_topology,
@@ -147,178 +136,3 @@ class TestShardPlannerEdgeCases:
         )
         assert set(plan.shard_of) == {"a", "b"}
 
-
-# ----------------------------------------------------------------- transport
-
-
-def _two_peer_transport(shards=2):
-    """A 2-shard transport with peers 'a' (shard 0) and 'b' (shard 1)."""
-    transport = ShardedTransport(shard_count=shards)
-    received = {"a": [], "b": []}
-    transport.register("a", lambda message: received["a"].append(message))
-    transport.register("b", lambda message: received["b"].append(message))
-    transport.apply_plan(ShardPlan(shard_count=shards, shard_of={"a": 0, "b": 1}))
-    return transport, received
-
-
-class TestShardedTransport:
-    def test_send_requires_plan(self):
-        transport = ShardedTransport(shard_count=2)
-        transport.register("a", lambda message: None)
-        with pytest.raises(NetworkError):
-            transport.send(Message("x", "a", MessageType.QUERY))
-
-    def test_send_to_unregistered_peer_raises(self):
-        transport, _ = _two_peer_transport()
-        with pytest.raises(UnknownPeerError):
-            transport.send(Message("a", "zz", MessageType.QUERY))
-
-    def test_plan_must_cover_registered_peers(self):
-        transport = ShardedTransport(shard_count=2)
-        transport.register("a", lambda message: None)
-        transport.register("b", lambda message: None)
-        with pytest.raises(NetworkError):
-            transport.apply_plan(ShardPlan(shard_count=2, shard_of={"a": 0}))
-
-    def test_plan_with_too_many_shards_raises(self):
-        transport = ShardedTransport(shard_count=2)
-        with pytest.raises(NetworkError):
-            transport.apply_plan(
-                ShardPlan(shard_count=3, shard_of={"a": 0, "b": 1, "c": 2})
-            )
-
-    def test_cross_shard_delivery_and_counters(self):
-        transport, received = _two_peer_transport()
-        transport.send(Message("a", "b", MessageType.QUERY))
-        transport.send(Message("b", "b", MessageType.QUERY))  # intra-shard
-        asyncio.run(transport.run_until_quiescent())
-        assert len(received["b"]) == 2
-        assert transport.pending == 0
-        assert transport.delivered_count == 2
-        assert transport.cross_shard_messages == 1
-        assert transport.intra_shard_messages == 1
-        assert transport.shard_message_counts() == {0: 0, 1: 2}
-
-    def test_quiescence_barrier_waits_for_handler_cascades(self):
-        # Every delivery at 'b' triggers another cross-shard hop back to 'a'
-        # until the counter runs out; the barrier must only release once the
-        # whole cascade (crossing the cut both ways) has drained.
-        transport = ShardedTransport(shard_count=2)
-        hops = []
-
-        def relay(name, other):
-            def handler(message):
-                hops.append(name)
-                remaining = message.payload["remaining"]
-                if remaining:
-                    transport.send(
-                        Message(
-                            name,
-                            other,
-                            MessageType.QUERY,
-                            {"remaining": remaining - 1},
-                        )
-                    )
-
-            return handler
-
-        transport.register("a", relay("a", "b"))
-        transport.register("b", relay("b", "a"))
-        transport.apply_plan(ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1}))
-        transport.send(Message("a", "b", MessageType.QUERY, {"remaining": 9}))
-        asyncio.run(transport.run_until_quiescent())
-        assert len(hops) == 10
-        assert transport.pending == 0
-        assert all(
-            shard.idle and not shard.mailbox and not shard.queue
-            for shard in transport.shards
-        )
-
-    def test_per_shard_clocks_advance_independently(self):
-        transport, _ = _two_peer_transport()
-        transport.send(Message("a", "b", MessageType.QUERY))
-        asyncio.run(transport.run_until_quiescent())
-        # Only shard 1 delivered anything; shard 0's clock stays at zero and
-        # the completion time is the maximum across shards.
-        clocks = [shard.clock for shard in transport.shards]
-        assert clocks[0] == 0.0
-        assert clocks[1] > 0.0
-        assert transport.completion_time == max(clocks)
-
-    def test_max_messages_bound_raises(self):
-        transport = ShardedTransport(shard_count=2, max_messages=20)
-
-        def ping(message):
-            transport.send(Message("a", "b", MessageType.QUERY))
-
-        def pong(message):
-            transport.send(Message("b", "a", MessageType.QUERY))
-
-        transport.register("a", ping)
-        transport.register("b", pong)
-        transport.apply_plan(ShardPlan(shard_count=2, shard_of={"a": 0, "b": 1}))
-        transport.send(Message("a", "b", MessageType.QUERY))
-        with pytest.raises(NetworkError):
-            asyncio.run(transport.run_until_quiescent())
-
-    def test_consecutive_runs_reuse_the_transport(self):
-        # Each blocking run uses a fresh asyncio.run loop; events must rebind.
-        transport, received = _two_peer_transport()
-        transport.send(Message("a", "b", MessageType.QUERY))
-        asyncio.run(transport.run_until_quiescent())
-        transport.send(Message("b", "a", MessageType.QUERY))
-        asyncio.run(transport.run_until_quiescent())
-        assert len(received["a"]) == 1 and len(received["b"]) == 1
-
-    def test_late_peer_is_assigned_to_least_loaded_shard(self):
-        transport, _ = _two_peer_transport()
-        transport.register("late", lambda message: None)
-        shard = transport.shard_of("late")
-        assert 0 <= shard < transport.shard_count
-
-    def test_at_least_one_shard_required(self):
-        with pytest.raises(NetworkError):
-            ShardedTransport(shard_count=0)
-
-
-# -------------------------------------------------------------------- engine
-
-
-class TestShardedEngine:
-    def test_engine_for_picks_sharded_engine(self):
-        transport = ShardedTransport(shard_count=2)
-        assert isinstance(engine_for(transport), ShardedEngine)
-
-    def test_engine_rejects_other_transports(self, chain_system):
-        with pytest.raises(ReproError):
-            ShardedEngine().run(chain_system, "update")
-
-    def test_system_build_knows_the_sharded_kind(self):
-        system = P2PSystem.build(
-            {"a": []}, transport="sharded", shards=3
-        )
-        assert isinstance(system.transport, ShardedTransport)
-        assert system.transport.shard_count == 3
-
-    def test_engine_plans_automatically_and_reports_traffic(self):
-        from repro.api.session import Session
-        from repro.coordination.rule import rule_from_text
-        from repro.database.schema import DatabaseSchema, RelationSchema
-
-        schemas = {
-            name: DatabaseSchema([RelationSchema("item", ["x", "y"])])
-            for name in ("a", "b", "c")
-        }
-        rules = [
-            rule_from_text("ab", "b: item(X, Y) -> a: item(X, Y)"),
-            rule_from_text("bc", "c: item(X, Y) -> b: item(X, Y)"),
-        ]
-        data = {"c": {"item": [("1", "2"), ("3", "4")]}}
-        session = Session.build(
-            schemas, rules, data, transport="sharded", shards=2, super_peer="a"
-        )
-        result = session.update()
-        assert session.system.transport.plan is not None
-        assert result.stats.sharding is not None
-        assert result.stats.sharding.total_messages == result.stats.total_messages
-        assert session.query("a", "q(X, Y) :- item(X, Y)") == {("1", "2"), ("3", "4")}

@@ -133,3 +133,24 @@ class TestSpecIoErrors:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ScenarioSpec.load_json(Path(tmp_path) / "absent.json")
+
+
+def _loaded_with_sharded_transport() -> ScenarioSpec:
+    document = json.loads(paper_spec().dump_json())
+    document["transport"] = "sharded"
+    return ScenarioSpec.load_json(json.dumps(document))
+
+
+class TestShardsNeedAPartitionedTransport:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: paper_spec(transport="sync", shards=2),
+            lambda: paper_spec(transport="async", shards=2),
+            _loaded_with_sharded_transport,
+        ],
+        ids=["sync-with-shards", "async-with-shards", "json-sharded-kind"],
+    )
+    def test_opening_a_session_names_the_partitioned_transports(self, make_spec):
+        with pytest.raises(ReproError, match="'multiproc'/'pooled'/'socket'"):
+            Session.from_spec(make_spec())
