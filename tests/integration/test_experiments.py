@@ -80,7 +80,7 @@ class TestE3Scalability:
 
 
 class TestE3ShardSweep:
-    def test_sync_and_multiproc_agree_at_reduced_scale(self):
+    def test_sync_and_sharded_agree_at_reduced_scale(self):
         comparisons = run_shard_scalability(
             sizes=(15,), shards=2, records_per_node=3
         )

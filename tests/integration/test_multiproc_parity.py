@@ -111,31 +111,6 @@ class TestMultiprocParity:
             multiproc_session.databases()
         )
 
-    def test_discovery_parity_with_sync(self):
-        # Topology discovery also runs in the worker processes; the Paths
-        # relations merged back must match the synchronous run.
-        spec = ScenarioSpec.of(
-            paper_example_schemas(),
-            paper_example_rules(),
-            paper_example_data(),
-            super_peer="A",
-        )
-        sync_session = Session.from_spec(spec)
-        sync_session.run("discovery")
-        multiproc_session = Session.from_spec(
-            spec.with_(transport="multiproc", shards=3)
-        )
-        multiproc_session.run("discovery")
-        sync_paths = {
-            node_id: node.state.maximal_paths()
-            for node_id, node in sync_session.system.nodes.items()
-        }
-        multiproc_paths = {
-            node_id: node.state.maximal_paths()
-            for node_id, node in multiproc_session.system.nodes.items()
-        }
-        assert multiproc_paths == sync_paths
-
     def test_multiproc_reaches_closure_and_satisfies_rules(self):
         from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules
 

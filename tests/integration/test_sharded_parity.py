@@ -1,11 +1,15 @@
-"""State parity of the sharded engine against the synchronous reference.
+"""State parity of sharded runs against the synchronous reference.
 
-The acceptance bar of the sharding subsystem: whatever the partitioning,
-``ShardedEngine`` must drive the update protocol to the same per-node
-relation state as ``SyncEngine`` (compared on the null-free ground part, the
-same notion every other parity suite uses) on the paper's three topology
-families, at K=1 (degenerate single shard) and K=4 (real cross-shard
-traffic).
+The acceptance bar of the sharding subsystem: whatever the partitioning, a
+run sharded over K workers must drive the update protocol to the same
+per-node relation state as ``SyncEngine`` (compared on the null-free ground
+part, the same notion every other parity suite uses) on the paper's three
+topology families, at K=1 (degenerate single shard) and K=4 (real
+cross-shard traffic).  The runs go through the ``multiproc`` engine, the
+partitioned engine every other one builds on, and each one must also report
+a per-shard traffic view that adds up.
+
+These tests spawn real worker processes, so topologies are kept small.
 """
 
 import pytest
@@ -29,11 +33,28 @@ TOPOLOGIES = {
 }
 
 
+def _sharded(spec: ScenarioSpec, shards: int) -> ScenarioSpec:
+    return spec.with_(transport="multiproc", shards=shards)
+
+
 def _run(spec: ScenarioSpec):
     session = Session.from_spec(spec)
     session.run("discovery")
     result = session.update()
     return session, result
+
+
+def _assert_traffic_adds_up(traffic, shard_count: int) -> None:
+    """Every delivery sits on exactly one shard, and on one side of the cut."""
+    assert set(traffic.messages_by_shard) == set(range(shard_count))
+    assert set(traffic.tuples_by_shard) == set(range(shard_count))
+    assert traffic.total_messages > 0
+    assert (
+        traffic.cross_shard_messages + traffic.intra_shard_messages
+        == traffic.total_messages
+    )
+    assert traffic.max_shard_messages <= traffic.total_messages
+    assert 0.0 <= traffic.cut_ratio <= 1.0
 
 
 class TestShardedParity:
@@ -44,9 +65,9 @@ class TestShardedParity:
             TOPOLOGIES[family](), records_per_node=5, seed=7
         )
         _sync_session, sync_result = _run(spec)
-        sharded_session, sharded_result = _run(spec.with_(shards=shards))
+        sharded_session, sharded_result = _run(_sharded(spec, shards))
 
-        assert sharded_result.engine == "sharded"
+        assert sharded_result.engine == "multiproc"
         assert sync_result.engine == "sync"
         assert (
             sharded_result.ground_databases() == sync_result.ground_databases()
@@ -56,6 +77,7 @@ class TestShardedParity:
         assert traffic.shard_count == min(
             shards, len(sharded_session.system.nodes)
         )
+        _assert_traffic_adds_up(traffic, traffic.shard_count)
         if shards == 1:
             assert traffic.cross_shard_messages == 0
 
@@ -70,24 +92,27 @@ class TestShardedParity:
             super_peer="A",
         )
         _sync_session, sync_result = _run(spec)
-        _sharded_session, sharded_result = _run(spec.with_(shards=shards))
+        _sharded_session, sharded_result = _run(_sharded(spec, shards))
         assert (
             sharded_result.ground_databases() == sync_result.ground_databases()
+        )
+        _assert_traffic_adds_up(
+            sharded_result.stats.sharding, sharded_result.stats.sharding.shard_count
         )
 
     def test_all_nodes_reach_closure_under_sharding(self):
         from repro.core.fixpoint import all_nodes_closed, satisfies_all_rules
 
         spec = ScenarioSpec.from_topology(
-            tree_topology(2, 2), records_per_node=5, seed=7, shards=4
+            tree_topology(2, 2), records_per_node=5, seed=7
         )
-        session, _result = _run(spec)
+        session, _result = _run(_sharded(spec, 4))
         assert all_nodes_closed(session.system)
         assert satisfies_all_rules(session.system)
 
     def test_discovery_parity_under_sharding(self):
-        # Topology discovery also runs over the sharded transport; the Paths
-        # relations it materialises must match the synchronous run.
+        # Topology discovery also runs sharded; the Paths relations merged
+        # back from the workers must match the synchronous run.
         spec = ScenarioSpec.of(
             paper_example_schemas(),
             paper_example_rules(),
@@ -96,7 +121,7 @@ class TestShardedParity:
         )
         sync_session = Session.from_spec(spec)
         sync_session.run("discovery")
-        sharded_session = Session.from_spec(spec.with_(shards=3))
+        sharded_session = Session.from_spec(_sharded(spec, 3))
         sharded_session.run("discovery")
         sync_paths = {
             node_id: node.state.maximal_paths()

@@ -46,6 +46,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E3", "--engine", "warp"])
 
+    def test_sharded_engine_choice_is_gone(self):
+        # The E3 sweep's partitioned column is multiproc; there is no
+        # in-process sharded engine left to select.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "E3", "--engine", "sharded"])
+
     def test_parse_sizes(self):
         assert _parse_sizes("127,511") == (127, 511)
         assert _parse_sizes("63") == (63,)
@@ -138,7 +144,7 @@ class TestExecution:
         )
         assert "--hosts applies only" in capsys.readouterr().err
 
-    def test_main_runs_the_multiproc_sweep(self, capsys):
+    def test_main_runs_the_sharded_sweep(self, capsys):
         assert (
             main(
                 [

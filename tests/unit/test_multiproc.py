@@ -1,14 +1,16 @@
 """Unit tests for the coordinator side of the multi-process engine.
 
 Almost everything here runs without spawning a single child process: the
-worker transport's routing/stamping logic is driven directly, and the
-coordinator transport is exercised as the configuration-and-counters handle
-it is.  Only the per-run pool lifecycle tests at the end spawn real workers.
-The cross-process end-to-end behaviour lives in
+worker transport's routing/stamping logic is driven directly, the
+coordinator's reply collection and quiescence double check run against
+scripted worker statuses, and the coordinator transport is exercised as the
+configuration-and-counters handle it is.  Only the per-run pool lifecycle
+tests at the end spawn real workers.  The cross-process end-to-end behaviour lives in
 ``tests/integration/test_multiproc_parity.py``.
 """
 
 import multiprocessing
+import queue
 
 import pytest
 
@@ -19,7 +21,15 @@ from repro.errors import NetworkError, ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.network.message import Message, MessageType
 from repro.sharding import MultiprocEngine, MultiprocTransport, ShardPlan
-from repro.sharding.multiproc import ShardWorld, _WorkerTransport, _worlds_from_system
+from repro.sharding import multiproc
+from repro.sharding.multiproc import (
+    ShardWorld,
+    _WorkerTransport,
+    _await_replies,
+    _check_workers,
+    _quiescence_rounds,
+    _worlds_from_system,
+)
 from repro.database.schema import DatabaseSchema, RelationSchema
 from repro.coordination.rule import rule_from_text
 
@@ -154,6 +164,43 @@ class TestWorkerTransport:
                 Message(sender="a", recipient="zz", type=MessageType.QUERY)
             )
 
+    def test_recipient_outside_the_shard_plan_raises(self):
+        transport, _outboxes = self._transport()
+        transport.register("c", lambda message: None)
+        with pytest.raises(NetworkError, match="outside the shard plan"):
+            transport.send(
+                Message(sender="a", recipient="c", type=MessageType.QUERY)
+            )
+
+    def test_drain_limit_bounds_the_batch(self):
+        transport, _outboxes = self._transport()
+        for _ in range(3):
+            transport.send(
+                Message(sender="b", recipient="a", type=MessageType.QUERY)
+            )
+        transport.drain(limit=2)
+        assert transport.delivered == 2
+        assert transport.has_local_work
+        transport.drain()
+        assert transport.delivered == 3
+        assert not transport.has_local_work
+
+    def test_status_reports_the_counters_quiescence_compares(self):
+        transport, _outboxes = self._transport()
+        transport.send(Message(sender="b", recipient="a", type=MessageType.QUERY))
+        transport.send(Message(sender="a", recipient="b", type=MessageType.QUERY))
+        # A local delivery is still queued: the worker is not idle.
+        assert transport.status()["idle"] is False
+        transport.drain()
+        status = transport.status()
+        assert status == {
+            "idle": True,
+            "sent": (0, 1),
+            "received": 0,
+            "delivered": 1,
+            "clock": pytest.approx(1.0),
+        }
+
     def test_max_messages_bound_raises(self):
         outboxes = [_ListQueue()]
         transport = _WorkerTransport(0, {"a": 0}, outboxes, None, max_messages=2)
@@ -167,6 +214,155 @@ class TestWorkerTransport:
         transport.send(Message(sender="a", recipient="a", type=MessageType.QUERY))
         with pytest.raises(NetworkError):
             transport.drain()
+
+
+def _status(idle=True, sent=(0, 0), received=0, delivered=0):
+    return {
+        "idle": idle,
+        "sent": sent,
+        "received": received,
+        "delivered": delivered,
+        "clock": 0.0,
+    }
+
+
+class _Liveness:
+    """A stand-in for a worker process handle (``is_alive`` + ``exitcode``)."""
+
+    def __init__(self, alive=True, exitcode=None):
+        self.alive = alive
+        self.exitcode = exitcode
+
+    def is_alive(self):
+        return self.alive
+
+
+class _ScriptedShards:
+    """The worker side of the ping/status exchange, without processes.
+
+    Each ping put on a shard's inbox makes that shard post its next scripted
+    status to the shared results queue; the last status repeats once the
+    script runs out.
+    """
+
+    def __init__(self, *scripts):
+        self.results = queue.Queue()
+        self.scripts = [list(script) for script in scripts]
+        self.inboxes = [self._Inbox(self, shard) for shard in range(len(scripts))]
+        self.workers = [_Liveness() for _ in scripts]
+
+    class _Inbox:
+        def __init__(self, shards, shard):
+            self.shards = shards
+            self.shard = shard
+
+        def put(self, item):
+            assert item[0] == "ping"
+            script = self.shards.scripts[self.shard]
+            status = script.pop(0) if len(script) > 1 else script[0]
+            self.shards.results.put(("status", self.shard, status))
+
+    def rounds(self, max_messages=1_000):
+        return _quiescence_rounds(
+            self.results,
+            self.inboxes,
+            len(self.inboxes),
+            max_messages,
+            self.workers,
+        )
+
+
+class TestQuiescenceRounds:
+    """The coordinator's double check, driven by scripted worker statuses."""
+
+    def test_quiet_workers_are_certified_in_two_rounds(self):
+        shards = _ScriptedShards([_status(delivered=4)], [_status(delivered=2)])
+        assert shards.rounds() == 2
+
+    def test_a_message_in_flight_across_the_cut_delays_the_certificate(self):
+        # Shard 0 has sent one message to shard 1 that has not arrived yet:
+        # both are idle, but the sent/received sums do not balance.
+        shards = _ScriptedShards(
+            [_status(sent=(0, 1), delivered=1)],
+            [
+                _status(received=0),
+                _status(received=0),
+                _status(received=1, delivered=1),
+            ],
+        )
+        # The two unbalanced rounds agree with each other, yet do not count.
+        assert shards.rounds() == 4
+
+    def test_local_work_delays_the_certificate(self):
+        # Counters alone cannot tell: round 2 repeats round 1's fingerprint,
+        # but shard 0 has deliveries queued at reply time.
+        shards = _ScriptedShards(
+            [
+                _status(delivered=3),
+                _status(idle=False, delivered=3),
+                _status(delivered=3),
+            ],
+            [_status()],
+        )
+        assert shards.rounds() == 4
+
+    def test_deliveries_between_rounds_restart_the_double_check(self):
+        # Two balanced, all-idle rounds are not enough when the counters
+        # moved between them: something was delivered in the gap.
+        shards = _ScriptedShards(
+            [_status(delivered=5), _status(delivered=6)],
+            [_status()],
+        )
+        assert shards.rounds() == 3
+
+    def test_delivery_bound_across_shards_raises(self):
+        shards = _ScriptedShards([_status(delivered=6)], [_status(delivered=6)])
+        with pytest.raises(NetworkError, match="exceeded 10 deliveries"):
+            shards.rounds(max_messages=10)
+
+    def test_no_progress_within_the_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(multiproc, "_WORKER_TIMEOUT", 0.05)
+        shards = _ScriptedShards([_status(idle=False, delivered=1)], [_status()])
+        with pytest.raises(NetworkError, match="stalled"):
+            shards.rounds()
+
+
+class TestAwaitReplies:
+    def test_replies_of_another_kind_are_skipped(self):
+        results = queue.Queue()
+        for item in (("status", 0, _status()), ("ready", 1), ("ready", 0)):
+            results.put(item)
+        collected = _await_replies(
+            results, "ready", 2, [_Liveness(), _Liveness()]
+        )
+        assert collected == {0: None, 1: None}
+
+    def test_an_error_reply_raises_with_the_worker_traceback(self):
+        results = queue.Queue()
+        results.put(("error", 1, "Traceback: boom"))
+        with pytest.raises(NetworkError, match="shard 1 worker failed") as caught:
+            _await_replies(results, "ready", 2, [_Liveness(), _Liveness()])
+        assert "boom" in str(caught.value)
+
+    def test_a_dead_worker_with_a_reply_outstanding_raises(self):
+        results = queue.Queue()
+        results.put(("ready", 0))
+        workers = [_Liveness(), _Liveness(alive=False, exitcode=-9)]
+        with pytest.raises(NetworkError, match=r"shard 1 .*exit code -9"):
+            _await_replies(results, "ready", 2, workers)
+
+    def test_no_reply_within_the_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(multiproc, "_WORKER_TIMEOUT", 0.0)
+        with pytest.raises(NetworkError, match="timed out waiting for 2"):
+            _await_replies(queue.Queue(), "ready", 2, [_Liveness(), _Liveness()])
+
+    def test_a_dead_worker_that_already_replied_is_not_a_crash(self):
+        # A worker may exit right after its last reply (the pool closing);
+        # only a missing reply from a dead worker is a crash.
+        dead = _Liveness(alive=False, exitcode=0)
+        _check_workers([dead], collected={0: None})
+        with pytest.raises(NetworkError, match="died unexpectedly"):
+            _check_workers([dead], collected={})
 
 
 class TestShardWorlds:

@@ -141,6 +141,12 @@ def _loaded_with_sharded_transport() -> ScenarioSpec:
     return ScenarioSpec.load_json(json.dumps(document))
 
 
+def _loaded_sync_with_shards() -> ScenarioSpec:
+    # A checked-in sweep file written when shards on sync still picked an
+    # in-process partitioned engine: it loads, and opening it must fail.
+    return ScenarioSpec.load_json(paper_spec(shards=2).dump_json())
+
+
 class TestShardsNeedAPartitionedTransport:
     @pytest.mark.parametrize(
         "make_spec",
@@ -148,9 +154,26 @@ class TestShardsNeedAPartitionedTransport:
             lambda: paper_spec(transport="sync", shards=2),
             lambda: paper_spec(transport="async", shards=2),
             _loaded_with_sharded_transport,
+            _loaded_sync_with_shards,
         ],
-        ids=["sync-with-shards", "async-with-shards", "json-sharded-kind"],
+        ids=[
+            "sync-with-shards",
+            "async-with-shards",
+            "json-sharded-kind",
+            "json-sync-with-shards",
+        ],
     )
     def test_opening_a_session_names_the_partitioned_transports(self, make_spec):
         with pytest.raises(ReproError, match="'multiproc'/'pooled'/'socket'"):
             Session.from_spec(make_spec())
+
+    @pytest.mark.parametrize("kind", ["sharded", "warp"])
+    def test_building_a_system_of_an_unknown_kind_names_them_too(self, kind):
+        # The substrate entry point refuses the deleted kind like any other
+        # unknown one, with the same hint.
+        from repro.core.system import P2PSystem
+
+        with pytest.raises(ReproError, match="'multiproc'/'pooled'/'socket'"):
+            P2PSystem.build(
+                paper_example_schemas(), paper_example_rules(), transport=kind
+            )
